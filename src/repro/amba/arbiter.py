@@ -283,8 +283,3 @@ class Arbiter(Module):
     def owner(self):
         """Current address-phase owner index (``HMASTER``)."""
         return self.hmaster.value
-
-    @property
-    def data_phase_owner(self):
-        """Current data-phase owner index (delayed ``HMASTER``)."""
-        return self.hmaster_d.value

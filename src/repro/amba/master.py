@@ -120,14 +120,6 @@ class AhbMaster(Module):
         return (self._current is None and not self._queue
                 and self._addr_beat is None and self._data_beat is None)
 
-    @property
-    def outstanding(self):
-        """Number of transactions queued or being executed."""
-        count = len(self._queue)
-        if self._current is not None:
-            count += 1
-        return count
-
     # -- sequential behaviour ----------------------------------------------
 
     def _on_clk(self):

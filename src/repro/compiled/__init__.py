@@ -21,6 +21,12 @@ straight-line edge code at elaboration time:
    prove safe falls back to the interpreted loop, loudly via
    :attr:`CompiledEngine.fallback_reason`.
 
+The engine knows nothing about power analysis.  The global power
+monitor's clock process records one row per cycle and replays the rows
+in batches (:mod:`repro.power.replay`) on either engine, so batching —
+and every per-cycle power sink, telemetry included — behaves the same
+compiled or interpreted.
+
 Typical use::
 
     from repro.compiled import compile_system
@@ -48,15 +54,13 @@ __all__ = [
 ]
 
 
-def compile_simulator(sim, clocks, monitor=None, install=True):
+def compile_simulator(sim, clocks, install=True):
     """Compile *sim* (with its *clocks*) and install the engine.
 
-    ``monitor`` may name a :class:`~repro.power.monitors.GlobalPowerMonitor`
-    to enable the batched record/replay power path.  Pass
-    ``install=False`` to get an un-installed engine (e.g. for
+    Pass ``install=False`` to get an un-installed engine (e.g. for
     inspection or deferred attachment).
     """
-    engine = CompiledEngine(sim, clocks, monitor=monitor)
+    engine = CompiledEngine(sim, clocks)
     if install:
         engine.install()
     return engine
@@ -66,7 +70,6 @@ def compile_system(system, install=True):
     """Compile an :class:`~repro.workloads.testbench.AhbSystem`.
 
     Convenience wrapper around :func:`compile_simulator` using the
-    system's simulator, bus clock and (if present) power monitor.
+    system's simulator and bus clock.
     """
-    return compile_simulator(system.sim, [system.clk],
-                             monitor=system.monitor, install=install)
+    return compile_simulator(system.sim, [system.clk], install=install)

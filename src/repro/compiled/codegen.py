@@ -16,22 +16,16 @@ exactly, but with every dynamic lookup resolved at compile time:
   try;
 * the combinational cascade that follows is handed to the engine's
   shared settle loop.
-
-The batched power monitor's call site is a swappable module global
-(``_mon_<domain>``): the engine points it at the recording closure or
-at the live monitor method before each run.
 """
 
 from __future__ import annotations
 
 
-def emit_module(engine, graph, monitor_process=None):
+def emit_module(engine, graph):
     """Build the specialized edge functions for every domain.
 
     Returns ``{clock: (rising, falling)}``; the functions close over
-    *engine* (for the generic fallback and the cascade) and the
-    namespace, which is stored on the engine for the per-run monitor
-    slot swap.
+    *engine* (for the generic fallback and the cascade).
     """
     lines = []
     namespace = {
@@ -47,20 +41,14 @@ def emit_module(engine, graph, monitor_process=None):
         namespace["_dom_%d" % index] = domain
         names = []
         for position, info in enumerate(domain.seq_pos):
-            if monitor_process is not None and \
-                    info.process is monitor_process:
-                namespace["_mon_%d" % index] = info.process.fn
-                domain.monitor_slot = "_mon_%d" % index
-            else:
-                namespace["_f%d_%d" % (index, position)] = info.process.fn
+            namespace["_f%d_%d" % (index, position)] = info.process.fn
             names.append(info.process.name)
         namespace["_names_%d" % index] = tuple(names)
-        lines.append(_emit_rising(index, domain, monitor_process))
+        lines.append(_emit_rising(index, domain))
         lines.append(_emit_falling(index, domain))
     source = "\n".join(lines)
     code = compile(source, "<repro.compiled.codegen>", "exec")
     exec(code, namespace)
-    engine._namespace = namespace
     return {
         domain.clock: (namespace["_rising_%d" % index],
                        namespace["_falling_%d" % index])
@@ -68,7 +56,7 @@ def emit_module(engine, graph, monitor_process=None):
     }
 
 
-def _emit_rising(index, domain, monitor_process):
+def _emit_rising(index, domain):
     sig = "_sig_%d" % index
     guard = ("    if (%s._inject is not None or %s._watchers is not None\n"
              "            or %s._staged or %s._value):\n"
@@ -96,10 +84,7 @@ def _emit_rising(index, domain, monitor_process):
     for position, info in enumerate(domain.seq_pos):
         if position:
             body.append("        _n = %d" % position)
-        if monitor_process is not None and info.process is monitor_process:
-            body.append("        _mon_%d()" % index)
-        else:
-            body.append("        _f%d_%d()" % (index, position))
+        body.append("        _f%d_%d()" % (index, position))
     body.extend([
         "    except (_SimulationError, KeyboardInterrupt):",
         "        raise",

@@ -44,7 +44,6 @@ from .codegen import emit_module
 from .errors import CompileError
 from .graph import extract_graph
 from .levelize import levelize
-from .monitor_batch import MonitorBatch, batchable
 
 
 class CompiledEngine:
@@ -56,18 +55,13 @@ class CompiledEngine:
         The elaborated simulator to compile.
     clocks:
         Every :class:`~repro.kernel.clock.Clock` of the design.
-    monitor:
-        Optional power monitor; a batchable
-        :class:`~repro.power.monitors.GlobalPowerMonitor` gets the
-        record/replay fast path of
-        :mod:`repro.compiled.monitor_batch`.
 
     Raises :class:`~repro.compiled.errors.CompileError` when the design
     cannot be statically scheduled (dynamic sensitivity, undeclared
     combinational writes, combinational cycles, ...).
     """
 
-    def __init__(self, sim, clocks, monitor=None):
+    def __init__(self, sim, clocks):
         self.sim = sim
         self.graph = extract_graph(sim, clocks)
         #: Combinational processes in topological (level) order; the
@@ -90,29 +84,10 @@ class CompiledEngine:
         self._domain_by_driver = {
             id(domain.driver): domain for domain in self.graph.domains}
 
-        self.monitor = monitor
-        self.batch = None
-        monitor_process = None
-        if monitor is not None and batchable(monitor):
-            bound = getattr(type(monitor), "_on_clk", None)
-            for domain in self.graph.domains:
-                for info in domain.seq_pos:
-                    fn = info.process.fn
-                    if getattr(fn, "__self__", None) is monitor and \
-                            getattr(fn, "__func__", None) is bound:
-                        monitor_process = info.process
-            if monitor_process is not None:
-                self.batch = MonitorBatch(monitor)
-
-        self._namespace = None       # filled by emit_module
-        self._edges = emit_module(self, self.graph, monitor_process)
-        self._monitor_slots = [domain.monitor_slot
-                               for domain in self.graph.domains
-                               if domain.monitor_slot is not None]
+        self._edges = emit_module(self, self.graph)
 
         self._spare = []
         self._uq_spare = []
-        self._active_batch = None
 
         #: Run accounting for telemetry / tests.
         self.runs_compiled = 0
@@ -175,16 +150,11 @@ class CompiledEngine:
         if self._uq_spare is sim._update_queue or self._uq_spare:
             self._uq_spare = []
 
-        use_batch = self._set_monitor_slots(len(plan) == 1)
-        self._active_batch = self.batch if use_batch else None
-        try:
-            if len(plan) == 1:
-                return self._run_single(sim, plan[0], until,
-                                        wall_clock_budget, wall_start)
-            return self._run_multi(sim, plan, until,
-                                   wall_clock_budget, wall_start)
-        finally:
-            self._active_batch = None
+        if len(plan) == 1:
+            return self._run_single(sim, plan[0], until,
+                                    wall_clock_budget, wall_start)
+        return self._run_multi(sim, plan, until,
+                               wall_clock_budget, wall_start)
 
     # -- validation ----------------------------------------------------
 
@@ -251,26 +221,6 @@ class CompiledEngine:
             plan.append([entry_time, seq, domain, entry])
         return plan
 
-    def _set_monitor_slots(self, single_domain):
-        """Point monitor call sites at the recorder or the live method.
-
-        Returns True when batching is active for this run."""
-        if not self._monitor_slots:
-            return False
-        use = (single_domain and self.batch is not None
-               and self._batch_eligible())
-        target = self.batch.recorder if use else self.monitor._on_clk
-        for slot in self._monitor_slots:
-            self._namespace[slot] = target
-        return use
-
-    def _batch_eligible(self):
-        """Per-run sinks check: any live consumer disables batching."""
-        monitor = self.monitor
-        fsm = monitor.fsm
-        return (fsm.traces is None and fsm.datafile is None
-                and fsm.instruction_log is None and fsm.tracer is None)
-
     # -- single-domain fast loop ---------------------------------------
 
     def _run_single(self, sim, item, until, wall_clock_budget,
@@ -285,7 +235,6 @@ class CompiledEngine:
         signal = clock.signal
         rising, falling = self._edges[clock]
         high, low = clock.high_time, clock.low_time
-        batch = self._active_batch
         monotonic = _time.monotonic
         edge_time = entry_time
         # The driver's park position; tracked explicitly so a foreign
@@ -316,8 +265,6 @@ class CompiledEngine:
                     # the interpreter
                     self._materialize(domain, edge_time, seq,
                                       driver_high)
-                    if batch is not None:
-                        batch.flush()
                     edges = -1
                     sim._run_interpreted(until, None, wall_clock_budget,
                                          wall_start)
@@ -332,8 +279,6 @@ class CompiledEngine:
                 self._materialize(domain, edge_time, seq, driver_high)
             elif edges == 0:
                 heapq.heappush(timed, entry)
-            if edges >= 0 and batch is not None:
-                batch.flush()
         if not stopped:
             sim.now = until
         return True
@@ -436,11 +381,6 @@ class CompiledEngine:
         path cannot prove safe (injection hooks or watchers on the
         clock wire, a stale level, level-sensitive clock logic)."""
         sim = self.sim
-        batch = self._active_batch
-        if batch is not None and batch.pending:
-            # the live monitor runs on this edge; replay the buffered
-            # cycles first so its state is current
-            batch.flush()
         sim.delta_count += 1
         domain.clock.signal.write(level)
         if level:
@@ -514,10 +454,8 @@ class CompiledEngine:
             spare = current
 
     def __repr__(self):
-        return ("CompiledEngine(domains=%d, seq=%d, comb=%d, "
-                "batched_monitor=%s)"
+        return ("CompiledEngine(domains=%d, seq=%d, comb=%d)"
                 % (len(self.graph.domains),
                    sum(len(domain.seq_pos) + len(domain.seq_neg)
                        for domain in self.graph.domains),
-                   len(self.graph.comb),
-                   self.batch is not None))
+                   len(self.graph.comb)))

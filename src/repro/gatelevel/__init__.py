@@ -10,7 +10,6 @@ from .blif import BlifError, load_blif, read_blif, save_blif, write_blif
 from .equivalence import (
     Mismatch,
     check_combinational,
-    check_sequential,
     decoder_reference,
     mux_reference,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "XOR2",
     "bits_to_int",
     "check_combinational",
-    "check_sequential",
     "decoder_input_bits",
     "decoder_reference",
     "hamming_int",

@@ -64,27 +64,6 @@ def check_combinational(netlist, reference, exhaustive_limit=14,
     return mismatches
 
 
-def check_sequential(netlist, reference_step, samples=500, seed=0):
-    """Compare a sequential *netlist* against a reference step function.
-
-    ``reference_step(input_bits) -> output_bits`` is expected to keep
-    its own state and is called once per clock step with the same
-    random stimulus the netlist receives.  Returns mismatches.
-    """
-    n_in = len(netlist.inputs)
-    simulator = GateLevelSimulator(netlist)
-    rng = random.Random(seed)
-    mismatches = []
-    for _ in range(samples):
-        bits = tuple(rng.randint(0, 1) for _ in range(n_in))
-        result = simulator.step(bits, clock=True)
-        actual = tuple(result.outputs[net] for net in netlist.outputs)
-        expected = tuple(reference_step(bits))
-        if actual != expected:
-            mismatches.append(Mismatch(bits, expected, actual))
-    return mismatches
-
-
 def decoder_reference(n_outputs, n_in):
     """Reference function factory for the one-hot decoder."""
     def reference(bits):

@@ -66,6 +66,7 @@ class Simulator:
         self._events = []
         self._state_providers = {}
         self._scheduler = None
+        self._run_end = []
         # Reused evaluate/update-phase lists: `_settle_deltas`
         # ping-pongs the runnable list and the update queue with these
         # spares instead of allocating fresh lists every delta cycle.
@@ -199,6 +200,20 @@ class Simulator:
         """The attached kernel observer, or None."""
         return self._observer
 
+    def at_run_end(self, callback, process):
+        """Call *callback* (no arguments) whenever a :meth:`run` call
+        returns or raises, on either scheduler.
+
+        Components that buffer per-cycle work (the power monitor's
+        recorded rows) bring their state up to date here, so between
+        runs — the only points where snapshots are legal — nothing is
+        pending.  *process* is the process whose work the callback
+        completes: an attached observer sees the callback as one more
+        activation of it, so profiles keep charging that work to its
+        owner.  Callbacks run in registration order.
+        """
+        self._run_end.append((callback, process))
+
     # -- state capture / restore ----------------------------------------
 
     def register_state(self, path, provider):
@@ -218,11 +233,6 @@ class Simulator:
                 "load_state_dict()" % path)
         self._state_providers[path] = provider
         return provider
-
-    @property
-    def state_providers(self):
-        """Mapping of registered state paths to providers (read-only)."""
-        return dict(self._state_providers)
 
     def _assert_quiescent(self, verb):
         if self._running:
@@ -437,22 +447,25 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
-        if self._scheduler is not None:
-            self._running = True
-            try:
-                handled = self._scheduler.run(
-                    self, until, max_time_steps, wall_clock_budget)
-            finally:
-                self._running = False
-            if handled:
-                return self.now
         self._running = True
-        self._stop_requested = False
         try:
+            if self._scheduler is not None and self._scheduler.run(
+                    self, until, max_time_steps, wall_clock_budget):
+                return self.now
+            self._stop_requested = False
             return self._run_interpreted(
                 until, max_time_steps, wall_clock_budget)
         finally:
             self._running = False
+            observer = self._observer
+            for callback, process in self._run_end:
+                if observer is None:
+                    callback()
+                else:
+                    started = _time.perf_counter()
+                    callback()
+                    observer.on_process(process, self.now,
+                                        _time.perf_counter() - started)
 
     def _run_interpreted(self, until, max_time_steps, wall_clock_budget,
                          wall_start=None):

@@ -55,11 +55,6 @@ class VcdSignal:
         """List of ``(time_ps, value)`` tuples."""
         return list(zip(self._times, self._values))
 
-    @property
-    def final_value(self):
-        """The last recorded value (0 if never changed)."""
-        return self._values[-1] if self._values else 0
-
     def __len__(self):
         return len(self._times)
 

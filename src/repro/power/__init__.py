@@ -49,7 +49,6 @@ from .instructions import (
     instruction_name,
     is_arbitration,
     is_data_transfer,
-    previous_mode_of,
 )
 from .ledger import (
     BLOCK_ARB,
@@ -146,7 +145,6 @@ __all__ = [
     "instruction_name",
     "is_arbitration",
     "is_data_transfer",
-    "previous_mode_of",
     "signal_probability",
     "total_transitions",
     "trace_bus",

@@ -79,14 +79,19 @@ class Activity:
 
     # -- sampling ------------------------------------------------------------
 
-    def sample(self):
+    def sample(self, values=None):
         """Measure HD of each signal against the stored values, update
         statistics, and store the new values.  Returns an
-        :class:`ActivitySample`."""
+        :class:`ActivitySample`.
+
+        *values*, when given, replaces the signals' current values
+        (one per signal, in order) — a recorded row being replayed.
+        """
+        if values is None:
+            values = [signal.value for signal in self.signals]
         per_signal = {}
         stored = self._stored
-        for signal in self.signals:
-            new = signal.value
+        for signal, new in zip(self.signals, values):
             old = stored[signal]
             if new == old:
                 distance = 0
@@ -104,10 +109,6 @@ class Activity:
         return sample
 
     # -- statistics -------------------------------------------------------------
-
-    def transition_count(self, signal):
-        """Cumulative bit transitions seen on *signal*."""
-        return self._transitions_per_signal[signal]
 
     def transition_density(self, signal):
         """Average fraction of *signal*'s bits toggling per sample."""

@@ -122,16 +122,6 @@ def current_mode_of(instruction):
     raise ValueError("not an instruction name: %r" % instruction)
 
 
-def previous_mode_of(instruction):
-    """The source mode of *instruction* (its ``<FROM>_`` prefix)."""
-    suffix = current_mode_of(instruction).value
-    prefix = instruction[:-(len(suffix) + 1)]
-    for mode in BusMode:
-        if mode.value == prefix:
-            return mode
-    raise ValueError("not an instruction name: %r" % instruction)
-
-
 def is_data_transfer(name):
     """True for the paper's "data transfer with no handover" class."""
     return name in DATA_TRANSFER_INSTRUCTIONS

@@ -167,12 +167,6 @@ class EnergyLedger:
                    for response, energy in self.response_energy.items()
                    if response != "OKAY")
 
-    def response_share(self, response):
-        """Fraction of total energy spent in *response*-tagged cycles."""
-        if self.total_energy == 0:
-            return 0.0
-        return self.response_energy.get(response, 0.0) / self.total_energy
-
     def block_breakdown(self):
         """Dict block → (energy, share), sorted by descending energy."""
         items = sorted(self.block_energy.items(),

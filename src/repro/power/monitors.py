@@ -3,10 +3,11 @@
 * :class:`GlobalPowerMonitor` — "a further specific module:
   communicating properly with the other modules it can characterize the
   energetic behavior of the entire system".  A separate kernel module,
-  sensitive to the bus clock, that observes the shared bus signals,
-  evaluates the sub-block macromodels every cycle and drives the
-  power FSM.  This is the reference model used for all paper
-  experiments.
+  sensitive to the bus clock, that records the shared bus signals every
+  cycle; the sub-block macromodels, the power FSM and the ledger
+  evaluate the recorded cycles in batches
+  (:mod:`repro.power.replay`).  This is the reference model used for
+  all paper experiments.
 
 * :class:`LocalPowerMonitor` — "a particular process added to those
   already present in the module ... a system activity monitor".  It
@@ -28,9 +29,8 @@ from __future__ import annotations
 
 import math
 
-from ..amba.types import HRESP, HTRANS
+from ..amba.types import HRESP
 from ..kernel import Module
-from .activity import Activity
 from .hamming import hamming
 from .instructions import classify_mode, instruction_name
 from .ledger import (
@@ -41,31 +41,21 @@ from .ledger import (
     EnergyLedger,
     PAPER_BLOCKS,
 )
-from .macromodels import (
-    ArbiterEnergyModel,
-    DecoderEnergyModel,
-    MuxEnergyModel,
-)
 from .parameters import PAPER_TECHNOLOGY
 from .power_fsm import PowerFsm
 from .power_trace import TraceSet
+from .replay import BusPowerModel
 
 
-def _decoder_shift(address_map):
-    """Bit position where slave regions start to differ.
-
-    The physical decoder only looks at address bits above the region
-    granularity; Hamming activity below that bit is data-path, not
-    decode, activity.
-    """
-    sizes = [region.size for region in address_map]
-    if not sizes:
-        return 0
-    return int(math.floor(math.log2(min(sizes))))
-
-
-class GlobalPowerMonitor(Module):
+class GlobalPowerMonitor(Module, BusPowerModel):
     """Cycle-accurate, macromodel-driven power analysis (global style).
+
+    A kernel module whose clock process records one row of committed
+    bus values per cycle; the :class:`~repro.power.replay.BusPowerModel`
+    it extends replays the rows into the macromodels, the power FSM and
+    the ledger in batches.  The simulator flushes pending rows whenever
+    a ``run`` call returns or raises, so between runs every result
+    attribute is current.
 
     Parameters
     ----------
@@ -78,244 +68,53 @@ class GlobalPowerMonitor(Module):
         Fig. 3–5 experiments; costs memory on long runs).
     datafile:
         Optional open file for the per-cycle energy log.
+    with_clock_tree, clock_tree_flops, clock_gate, wake_penalty_factor:
+        The optional bus-wide clock-tree block ("CLK"): the pipeline
+        registers of masters, slaves and fabric, charged every ungated
+        cycle.  Off by default so the paper's four-block Fig. 6
+        decomposition is reproduced unchanged; the DPM extension
+        (repro.power.dpm) turns it on together with a
+        ClockGateController.
     """
 
     def __init__(self, sim, name, bus, params=PAPER_TECHNOLOGY,
                  with_traces=False, datafile=None, parent=None,
                  with_clock_tree=False, clock_tree_flops=None,
                  clock_gate=None, wake_penalty_factor=2.0):
-        super().__init__(sim, name, parent=parent)
-        self.bus = bus
-        self.params = params
-        cfg = bus.config
-
-        # Optional bus-wide clock-tree block ("CLK"): the pipeline
-        # registers of masters, slaves and fabric, charged every
-        # ungated cycle.  Off by default so the paper's four-block
-        # Fig. 6 decomposition is reproduced unchanged; the DPM
-        # extension (repro.power.dpm) turns it on together with a
-        # ClockGateController.
+        Module.__init__(self, sim, name, parent=parent)
         if clock_gate is not None and not with_clock_tree:
             raise ValueError(
                 "clock gating needs with_clock_tree=True (gating only "
                 "affects the clock-tree block)")
-        self.clock_gate = clock_gate
-        self.wake_penalty_factor = wake_penalty_factor
-        if with_clock_tree:
-            if clock_tree_flops is None:
-                clock_tree_flops = cfg.n_masters * 80 + cfg.n_slaves * 40
-            self._clock_tree_energy = (
-                params.half_cv2 * params.c_clk * clock_tree_flops)
-            self.clock_tree_flops = clock_tree_flops
-        else:
-            self._clock_tree_energy = None
-            self.clock_tree_flops = 0
-        self._was_gated = False
-
-        n_masters = cfg.n_masters
-        n_slaves_total = cfg.n_slaves + 1  # incl. default slave
-        m2s_width = (cfg.addr_width + cfg.data_width + 13)
-        s2m_width = cfg.data_width + 3
-
-        self.m2s_model = MuxEnergyModel(n_masters, m2s_width, params)
-        self.s2m_model = MuxEnergyModel(n_slaves_total, s2m_width, params)
-        self.decoder_model = DecoderEnergyModel(n_slaves_total, params)
-        self.arbiter_model = ArbiterEnergyModel(n_masters, params)
-
-        self._m2s_out = Activity(
-            "m2s_out",
-            (bus.htrans, bus.haddr, bus.hwrite, bus.hsize, bus.hburst,
-             bus.hprot, bus.hwdata),
-        )
-        self._s2m_out = Activity(
-            "s2m_out", (bus.hrdata, bus.hresp, bus.hready),
-        )
+        cfg = bus.config
+        if not with_clock_tree:
+            clock_tree_flops = None
+        elif clock_tree_flops is None:
+            clock_tree_flops = cfg.n_masters * 80 + cfg.n_slaves * 40
         request_signals = []
         for port in bus.master_ports:
             request_signals.append(port.hbusreq)
             request_signals.append(port.hlock)
-        self._arb_in = Activity("arb_in", request_signals)
-
-        self._decoder_shift = _decoder_shift(cfg.address_map)
-        self._prev_haddr = bus.haddr.value
-        self._prev_owner = bus.hmaster.value
-        self._prev_dsel = bus.s2m_mux.dsel.value
-
-        traces = TraceSet(PAPER_BLOCKS + ("TOTAL",)) if with_traces else None
-        self.ledger = EnergyLedger()
-        self.fsm = PowerFsm(self.ledger, traces=traces, datafile=datafile)
-        self.traces = traces
-
-        # Aggregate activity counters consumed by
-        # repro.power.statistical.WorkloadStatistics.from_monitor.
-        self.decode_hd_total = 0
-        self.decode_change_count = 0
-        self.dsel_hd_total = 0
-        self.handover_total = 0
-        self.transfer_cycles = 0
-        self.write_cycles = 0
-
-        #: Energy chargeback: joules attributed to each master index
-        #: (the cycle's address-phase owner pays for the cycle).
-        self.master_energy = [0.0] * cfg.n_masters
-
-        self.method(self._on_clk, [bus.clk.posedge], name="monitor",
-                    initialize=False)
-
-    # -- per-cycle analysis ----------------------------------------------
-
-    def _on_clk(self):
-        bus = self.bus
-
-        m2s_sample = self._m2s_out.sample()
-        s2m_sample = self._s2m_out.sample()
-        arb_sample = self._arb_in.sample()
-
-        owner = bus.hmaster.value
-        handover_done = owner != self._prev_owner
-        grant_pending = bus.arbiter._grant_idx.value != owner
-        # Cycles parked on the default master are handover territory:
-        # the default master never transfers, so the next real transfer
-        # necessarily involves a grant change (the paper's IDLE_HO
-        # periods span whole idle windows, see DESIGN.md).
-        parked = owner == bus.config.default_master
-        self._prev_owner = owner
-
-        haddr = bus.haddr.value
-        hd_decode = hamming(
-            self._prev_haddr >> self._decoder_shift,
-            haddr >> self._decoder_shift,
-            width=self.decoder_model.n_inputs,
-        )
-        self._prev_haddr = haddr
-
-        dsel = bus.s2m_mux.dsel.value
-        hd_dsel = hamming(self._prev_dsel, dsel, width=8)
-        self._prev_dsel = dsel
-
-        hd_owner_code = 1 if handover_done else 0
-
-        self.decode_hd_total += hd_decode
-        if hd_decode:
-            self.decode_change_count += 1
-        self.dsel_hd_total += hd_dsel
-        if handover_done:
-            self.handover_total += 1
-        if bus.htrans.value in (int(HTRANS.NONSEQ), int(HTRANS.SEQ)):
-            self.transfer_cycles += 1
-            if bus.hwrite.value:
-                self.write_cycles += 1
-
-        energies = {
-            BLOCK_M2S: self.m2s_model.energy(
-                hd_in=m2s_sample.total,
-                hd_sel=hd_owner_code,
-                hd_out=m2s_sample.total,
-            ),
-            BLOCK_S2M: self.s2m_model.energy(
-                hd_in=s2m_sample.total,
-                hd_sel=hd_dsel,
-                hd_out=s2m_sample.total,
-            ),
-            BLOCK_DEC: self.decoder_model.energy(hd_decode),
-            BLOCK_ARB: self.arbiter_model.energy(
-                arb_sample.total, handover_done,
-            ),
-        }
-        if self._clock_tree_energy is not None:
-            energies["CLK"] = self._clock_tree_cycle_energy()
-
-        mode = classify_mode(
-            bus.htrans.value, bus.hwrite.value,
-            handover=handover_done or grant_pending or parked,
-        )
-        self.fsm.step(self.sim.now, mode, energies,
-                      response=HRESP(bus.hresp.value).name)
-        self.master_energy[owner] += sum(energies.values())
-
-    def master_energy_shares(self):
-        """Fraction of total energy attributed to each master index."""
-        total = sum(self.master_energy)
-        if total == 0:
-            return [0.0] * len(self.master_energy)
-        return [energy / total for energy in self.master_energy]
-
-    def _clock_tree_cycle_energy(self):
-        """Clock-tree charge for this cycle, honouring clock gating."""
-        gated_now = (self.clock_gate is not None
-                     and bool(self.clock_gate.gated.value))
-        if gated_now:
-            energy = 0.0
-        else:
-            energy = self._clock_tree_energy
-            if self._was_gated:
-                # wake-up: the gated tree recharges and the enable
-                # latches toggle across the whole distribution
-                energy += (self.wake_penalty_factor
-                           * self._clock_tree_energy)
-        self._was_gated = gated_now
-        return energy
-
-    # -- results ------------------------------------------------------------
-
-    @property
-    def total_energy(self):
-        """Total accounted energy so far (joules)."""
-        return self.ledger.total_energy
-
-    def activity_summary(self):
-        """Switching statistics of all monitored signal groups."""
-        return {
-            "m2s_out": self._m2s_out.summary(),
-            "s2m_out": self._s2m_out.summary(),
-            "arb_in": self._arb_in.summary(),
-        }
-
-    # -- checkpoint support ---------------------------------------------
-
-    def state_dict(self):
-        """Monitor, FSM, ledger and activity-group state.
-
-        Power *traces* (when enabled) are append-only history and are
-        NOT checkpointed — a restored run continues recording from the
-        restore point; see docs/RESILIENCE.md.
-        """
-        return {
-            "was_gated": self._was_gated,
-            "prev_haddr": self._prev_haddr,
-            "prev_owner": self._prev_owner,
-            "prev_dsel": self._prev_dsel,
-            "decode_hd_total": self.decode_hd_total,
-            "decode_change_count": self.decode_change_count,
-            "dsel_hd_total": self.dsel_hd_total,
-            "handover_total": self.handover_total,
-            "transfer_cycles": self.transfer_cycles,
-            "write_cycles": self.write_cycles,
-            "master_energy": list(self.master_energy),
-            "ledger": self.ledger.state_dict(),
-            "fsm": self.fsm.state_dict(),
-            "m2s_out": self._m2s_out.state_dict(),
-            "s2m_out": self._s2m_out.state_dict(),
-            "arb_in": self._arb_in.state_dict(),
-        }
-
-    def load_state_dict(self, state):
-        self._was_gated = state["was_gated"]
-        self._prev_haddr = state["prev_haddr"]
-        self._prev_owner = state["prev_owner"]
-        self._prev_dsel = state["prev_dsel"]
-        self.decode_hd_total = state["decode_hd_total"]
-        self.decode_change_count = state["decode_change_count"]
-        self.dsel_hd_total = state["dsel_hd_total"]
-        self.handover_total = state["handover_total"]
-        self.transfer_cycles = state["transfer_cycles"]
-        self.write_cycles = state["write_cycles"]
-        self.master_energy = list(state["master_energy"])
-        self.ledger.load_state_dict(state["ledger"])
-        self.fsm.load_state_dict(state["fsm"])
-        self._m2s_out.load_state_dict(state["m2s_out"])
-        self._s2m_out.load_state_dict(state["s2m_out"])
-        self._arb_in.load_state_dict(state["arb_in"])
+        BusPowerModel.__init__(
+            self, cfg,
+            (bus.htrans, bus.haddr, bus.hwrite, bus.hsize, bus.hburst,
+             bus.hprot, bus.hwdata),
+            (bus.hrdata, bus.hresp, bus.hready),
+            request_signals, params=params, with_traces=with_traces,
+            datafile=datafile, clock_tree_flops=clock_tree_flops,
+            clock_gate=clock_gate,
+            wake_penalty_factor=wake_penalty_factor,
+            haddr=bus.haddr.value, owner=bus.hmaster.value,
+            dsel=bus.s2m_mux.dsel.value)
+        self.bus = bus
+        columns = (self._m2s_out.signals + self._s2m_out.signals
+                   + self._arb_in.signals
+                   + (bus.hmaster, bus.arbiter._grant_idx,
+                      bus.s2m_mux.dsel))
+        process = self.method(self.recorder(sim, columns),
+                              [bus.clk.posedge], name="monitor",
+                              initialize=False)
+        sim.at_run_end(self.flush, process)
 
 
 class LocalPowerMonitor(Module):

@@ -12,26 +12,10 @@ simulation and :class:`OfflinePowerAnalyzer` to replay it.
 
 from __future__ import annotations
 
-from ..amba.types import HTRANS
 from ..kernel import VcdTracer
 from ..kernel.vcd_reader import load_vcd
-from .hamming import hamming
-from .instructions import classify_mode
-from .ledger import (
-    BLOCK_ARB,
-    BLOCK_DEC,
-    BLOCK_M2S,
-    BLOCK_S2M,
-    EnergyLedger,
-)
-from .macromodels import (
-    ArbiterEnergyModel,
-    DecoderEnergyModel,
-    MuxEnergyModel,
-)
-from .monitors import _decoder_shift
 from .parameters import PAPER_TECHNOLOGY
-from .power_fsm import PowerFsm
+from .replay import BusPowerModel
 
 #: Canonical VCD names used by :func:`trace_bus` / the analyzer.
 M2S_SIGNALS = ("HTRANS", "HADDR", "HWRITE", "HSIZE", "HBURST", "HPROT",
@@ -59,11 +43,29 @@ def trace_bus(sim, bus, path):
     return tracer
 
 
+class _Column:
+    """A VCD column standing in for a kernel signal: its name, its
+    width, and the value 0 a dump shows before its first change."""
+
+    __slots__ = ("name", "width", "value")
+
+    def __init__(self, name, width):
+        self.name = name
+        self.width = width
+        self.value = 0
+
+
 class OfflinePowerAnalyzer:
     """Replays a recorded bus waveform through the macromodels.
 
-    Parameters mirror :class:`~repro.power.monitors.GlobalPowerMonitor`
-    so offline and live analyses are directly comparable.
+    The samples are parsed into the rows the live
+    :class:`~repro.power.monitors.GlobalPowerMonitor` records and
+    replayed by the same :class:`~repro.power.replay.BusPowerModel`, so
+    offline and live analyses share one energy path.  Two things a dump
+    cannot show differ from a live run: previous-cycle values start at
+    0, and the pending grant is taken to be the owner (no grant index
+    is recorded).  ``HRESP`` is replayed, so the ledger's
+    ``response_energy`` is filled in as live.
 
     Parameters
     ----------
@@ -77,15 +79,6 @@ class OfflinePowerAnalyzer:
     def __init__(self, config, params=PAPER_TECHNOLOGY):
         self.config = config
         self.params = params
-        n_slaves_total = config.n_slaves + 1
-        self.m2s_model = MuxEnergyModel(
-            config.n_masters, config.addr_width + config.data_width + 13,
-            params)
-        self.s2m_model = MuxEnergyModel(
-            n_slaves_total, config.data_width + 3, params)
-        self.decoder_model = DecoderEnergyModel(n_slaves_total, params)
-        self.arbiter_model = ArbiterEnergyModel(config.n_masters, params)
-        self.decoder_shift = _decoder_shift(config.address_map)
 
     def _signal_widths(self):
         cfg = self.config
@@ -93,22 +86,13 @@ class OfflinePowerAnalyzer:
             "HTRANS": 2, "HADDR": cfg.addr_width, "HWRITE": 1,
             "HSIZE": 3, "HBURST": 3, "HPROT": 4,
             "HWDATA": cfg.data_width, "HRDATA": cfg.data_width,
-            "HRESP": 2, "HREADY": 1, "HMASTER": 4, "DSEL": 8,
+            "HRESP": 2, "HREADY": 1,
         }
 
     def analyze(self, vcd, clock_period_ps, first_edge_ps,
                 t_end=None):
         """Replay *vcd* and return the resulting
         :class:`~repro.power.ledger.EnergyLedger`."""
-        widths = self._signal_widths()
-        request_names = []
-        for index in range(self.config.n_masters):
-            for stem in ("HBUSREQ%d", "HLOCK%d"):
-                name = stem % index
-                if name in vcd:
-                    request_names.append(name)
-                    widths[name] = 1
-
         missing = [name for name in
                    M2S_SIGNALS + S2M_SIGNALS + ("HMASTER", "DSEL")
                    if name not in vcd]
@@ -116,53 +100,32 @@ class OfflinePowerAnalyzer:
             raise ValueError(
                 "VCD lacks required signals: %s (record with "
                 "repro.power.offline.trace_bus)" % ", ".join(missing))
+        request_names = [stem % index
+                         for index in range(self.config.n_masters)
+                         for stem in ("HBUSREQ%d", "HLOCK%d")
+                         if stem % index in vcd]
 
-        ledger = EnergyLedger()
-        fsm = PowerFsm(ledger)
-        previous = {name: 0 for name in widths}
-        default_master = self.config.default_master
-
+        widths = self._signal_widths()
+        model = BusPowerModel(
+            self.config,
+            [_Column(name, widths[name]) for name in M2S_SIGNALS],
+            [_Column(name, widths[name]) for name in S2M_SIGNALS],
+            [_Column(name, 1) for name in request_names],
+            params=self.params)
+        signals = [vcd[name] for name in
+                   M2S_SIGNALS + S2M_SIGNALS + tuple(request_names)]
+        owner, dsel = vcd["HMASTER"], vcd["DSEL"]
+        push = model.push
         for sample_time in vcd.sample_times(clock_period_ps,
                                             first_edge_ps, t_end=t_end):
-            current = {name: vcd[name].value_at(sample_time)
-                       for name in widths}
-
-            hd_m2s = sum(
-                hamming(previous[name], current[name],
-                        width=widths[name])
-                for name in M2S_SIGNALS)
-            hd_s2m = sum(
-                hamming(previous[name], current[name],
-                        width=widths[name])
-                for name in S2M_SIGNALS)
-            hd_req = sum(
-                hamming(previous[name], current[name], width=1)
-                for name in request_names)
-            hd_decode = hamming(
-                previous["HADDR"] >> self.decoder_shift,
-                current["HADDR"] >> self.decoder_shift,
-                width=self.decoder_model.n_inputs)
-            hd_dsel = hamming(previous["DSEL"], current["DSEL"],
-                              width=8)
-            handover = current["HMASTER"] != previous["HMASTER"]
-
-            energies = {
-                BLOCK_M2S: self.m2s_model.energy(
-                    hd_in=hd_m2s, hd_sel=1 if handover else 0,
-                    hd_out=hd_m2s),
-                BLOCK_S2M: self.s2m_model.energy(
-                    hd_in=hd_s2m, hd_sel=hd_dsel, hd_out=hd_s2m),
-                BLOCK_DEC: self.decoder_model.energy(hd_decode),
-                BLOCK_ARB: self.arbiter_model.energy(hd_req, handover),
-            }
-            mode = classify_mode(
-                current["HTRANS"], current["HWRITE"],
-                handover=handover
-                or current["HMASTER"] == default_master,
-            )
-            fsm.step(sample_time, mode, energies)
-            previous = current
-        return ledger
+            values = [signal.value_at(sample_time) for signal in signals]
+            master = owner.value_at(sample_time)
+            # no grant index in the dump: the grant is the owner
+            values += (master, master, dsel.value_at(sample_time),
+                       sample_time)
+            push(tuple(values))
+        model.flush()
+        return model.ledger
 
     def analyze_file(self, path, clock_period_ps, first_edge_ps,
                      t_end=None):

@@ -56,10 +56,6 @@ class TechnologyParameters:
         """Energy of *toggles* internal-node transitions (joules)."""
         return toggles * self.c_pd * self.half_cv2
 
-    def output_energy(self, toggles=1):
-        """Energy of *toggles* output-node transitions (joules)."""
-        return toggles * self.c_o * self.half_cv2
-
     def scaled(self, vdd=None, **caps):
         """Return a copy with selected fields replaced."""
         fields = {

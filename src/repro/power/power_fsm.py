@@ -69,6 +69,15 @@ class PowerFsm:
         self.state = mode
         total = self.ledger.charge_cycle(instruction, block_energies,
                                          response=response)
+        self.emit(time_ps, mode, instruction, block_energies, total,
+                  response)
+        self.cycles += 1
+        return instruction
+
+    def emit(self, time_ps, mode, instruction, block_energies, total,
+             response):
+        """Hand one classified and charged cycle to the attached sinks:
+        traces, datafile, instruction log and tracer, in that order."""
         if self.traces is not None:
             self.traces.record(time_ps, block_energies)
             self.traces.record(time_ps, {"TOTAL": total})
@@ -82,8 +91,6 @@ class PowerFsm:
         if self.tracer is not None:
             self.tracer.on_step(time_ps, mode, instruction,
                                 block_energies, total, response)
-        self.cycles += 1
-        return instruction
 
     def reset(self, mode=BusMode.IDLE):
         """Reset the FSM state (ledger contents are preserved)."""

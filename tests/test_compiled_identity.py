@@ -4,10 +4,12 @@ The compiled engine's whole value rests on one claim: for any run the
 interpreted kernel can execute, compiling first changes *nothing* —
 not the state digest, not the energy ledger down to the last bit, not
 the outcome fingerprint.  These tests attack that claim from several
-directions: the paper testbench directly, the monitor batch's NumPy
-and pure-Python replay paths, flush-cap boundaries, the live-monitor
-slot used when batching is ineligible, checkpointed digest streams,
-and a Hypothesis sweep over scenarios, fault schedules and seeds.
+directions: the paper testbench directly, the power replay's NumPy
+and scalar paths, flush-cap boundaries, the per-cycle scalar replay
+used when batching is ineligible, checkpointed digest streams, and a
+Hypothesis sweep over scenarios, fault schedules and seeds.  Both
+engines share the power replay, so the energy code itself is pinned
+by the golden values in ``test_power_golden.py``.
 """
 
 import pytest
@@ -49,16 +51,16 @@ class TestPaperTestbenchIdentity:
         assert c_ledger == ledger
 
     def test_python_flush_fallback_matches_numpy(self, monkeypatch):
-        # _flush_py is the reference replay; the OverflowError path
-        # (values beyond int64) must land on identical state.
+        # The scalar row replay is the reference; the OverflowError
+        # path (values beyond int64) must land on identical state.
         digest, ledger, _ = _run_paper(compile_system)
 
-        from repro.compiled.monitor_batch import MonitorBatch
+        from repro.power.replay import BusPowerModel
 
         def _overflow(self, arr):
-            raise OverflowError("forced: exercise the python replay")
+            raise OverflowError("forced: exercise the scalar replay")
 
-        monkeypatch.setattr(MonitorBatch, "_flush_np", _overflow)
+        monkeypatch.setattr(BusPowerModel, "_replay_np", _overflow)
         p_digest, p_ledger, engine = _run_paper(compile_system)
         assert engine.runs_compiled > 0, engine.fallback_reason
         assert p_digest == digest
@@ -69,24 +71,41 @@ class TestPaperTestbenchIdentity:
         # not depend on where the batch was cut.
         digest, ledger, _ = _run_paper(compile_system)
 
-        from repro.compiled import monitor_batch
-        monkeypatch.setattr(monitor_batch, "_FLUSH_ROWS", 32)
+        from repro.power import replay
+        flushes = []
+        original = replay.BusPowerModel.flush
+
+        def _counting_flush(self):
+            flushes.append(self.pending)
+            original(self)
+
+        monkeypatch.setattr(replay, "FLUSH_ROWS", 32)
+        monkeypatch.setattr(replay.BusPowerModel, "flush", _counting_flush)
         c_digest, c_ledger, engine = _run_paper(compile_system)
-        assert engine.batch is not None
+        assert engine.runs_compiled > 0, engine.fallback_reason
+        assert flushes.count(32) == DURATION_US * 100 // 32
         assert c_digest == digest
         assert c_ledger == ledger
 
     def test_live_monitor_slot_when_not_batchable(self, monkeypatch):
-        # Batch-ineligible monitors keep their live per-cycle method
-        # inside the emitted edge function; results are identical,
-        # just slower.
+        # A model that cannot rule out negative energies diverts every
+        # row to the scalar replay inside its clock process, one cycle
+        # at a time; results are identical, just slower.
         digest, ledger, _ = _run_paper()
 
-        from repro.compiled import engine as engine_mod
-        monkeypatch.setattr(engine_mod, "batchable", lambda m: False)
+        from repro.power.replay import BusPowerModel
+        monkeypatch.setattr(BusPowerModel, "_signs_ok", lambda self: False)
+        replayed = []
+        original = BusPowerModel._replay_rows
+
+        def _counting_rows(self, rows):
+            replayed.append(len(rows))
+            original(self, rows)
+
+        monkeypatch.setattr(BusPowerModel, "_replay_rows", _counting_rows)
         c_digest, c_ledger, engine = _run_paper(compile_system)
-        assert engine.batch is None
         assert engine.runs_compiled > 0, engine.fallback_reason
+        assert replayed == [1] * (DURATION_US * 100)
         assert c_digest == digest
         assert c_ledger == ledger
 

@@ -185,6 +185,42 @@ class TestWallClockBudget:
         assert sim.run(wall_clock_budget=60.0) == ns(5)
 
 
+class TestRunEnd:
+    def test_callbacks_run_when_run_returns_or_raises(self):
+        sim = Simulator()
+        calls = []
+
+        def step():
+            yield ns(1)
+            raise RuntimeError("boom")
+
+        process = sim.add_thread(step, name="step")
+        sim.at_run_end(lambda: calls.append(sim.now), process)
+        sim.run(until=0)
+        assert calls == [0]
+        with pytest.raises(ProcessError):
+            sim.run()
+        assert calls == [0, ns(1)]
+
+    def test_observer_sees_callback_as_owner_activation(self):
+        sim = Simulator()
+        seen = []
+
+        class Observer:
+            def on_process(self, process, now, seconds):
+                seen.append((process.name, now))
+
+            def on_settle(self, now, deltas):
+                pass
+
+        process = sim.add_method(lambda: None, [], name="owner",
+                                 initialize=False)
+        sim.at_run_end(lambda: None, process)
+        sim.attach_observer(Observer())
+        sim.run()
+        assert seen == [("owner", 0)]
+
+
 class TestErrors:
     def test_process_exception_wrapped(self):
         sim = Simulator()

@@ -152,3 +152,15 @@ $enddefinitions $end
         live_share = tb.ledger.class_share(is_data_transfer)
         offline_share = offline.class_share(is_data_transfer)
         assert offline_share == pytest.approx(live_share, abs=0.05)
+
+    def test_response_energy_tagged_like_live(self, tmp_path):
+        """The replay passes each cycle's HRESP, so offline cycles are
+        response-tagged: the buckets cover the whole ledger."""
+        tb, path = record_run(tmp_path, duration_us=10)
+        offline = OfflinePowerAnalyzer(tb.config).analyze_file(
+            str(path), 10_000, 5_000)
+        assert set(offline.response_energy) <= {"OKAY", "ERROR", "RETRY",
+                                                "SPLIT"}
+        assert sum(offline.response_energy.values()) == pytest.approx(
+            offline.total_energy, rel=1e-12)
+        assert offline.response_energy["OKAY"] > 0

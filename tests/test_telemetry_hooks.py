@@ -1,7 +1,5 @@
 """System instrumentation tests: hooks, behaviour neutrality, and the
-disabled-telemetry overhead guard."""
-
-import time
+disabled-telemetry guard."""
 
 import pytest
 
@@ -134,32 +132,29 @@ class TestSystemInstrumentation:
 
 
 class TestOverheadGuard:
-    def test_disabled_telemetry_under_5_percent(self):
-        """A ``telemetry=None`` system must run within 5% of the PR-3
-        baseline — the runtime POWERTEST claim (ISSUE 4 acceptance).
+    def test_disabled_telemetry_installs_nothing(self):
+        """``Telemetry.disabled()`` must leave the system exactly as
+        ``telemetry=None`` builds it — no kernel observer, no extra
+        processes, no power-FSM tracer — and run it through the same
+        kernel work: the runtime POWERTEST claim, checked exactly.
 
-        Both arms run the identical code path (no hooks installed), so
-        this guards against accidental always-on instrumentation costs
-        leaking into the model; min-of-3 timing suppresses host noise.
+        Its host-time cost is measured by the ``testbench-telemetry``
+        workload of the repo benchmark (``perfbench/``), not here.
         """
+        from repro.kernel import SimulationProfiler
+
         def run(telemetry):
             system = build_paper_testbench(seed=1, telemetry=telemetry)
-            system.run(us(10))
-            return system
+            installed = (system.sim.observer,
+                         len(system.sim.processes),
+                         system.monitor.fsm.tracer)
+            with SimulationProfiler(system.sim) as profiler:
+                system.run(us(10))
+            calls = {name: profile.activations
+                     for name, profile in profiler.profiles.items()}
+            return installed, system.sim.delta_count, calls
 
-        def timed(telemetry):
-            start = time.perf_counter()
-            run(telemetry)
-            return time.perf_counter() - start
-
-        run(None)  # warm caches
-        # interleave the arms so host-load noise hits both equally;
-        # min-of-N is the standard noise-robust wall-clock estimator
-        baseline = disabled = float("inf")
-        for _ in range(5):
-            baseline = min(baseline, timed(None))
-            disabled = min(disabled, timed(Telemetry.disabled()))
-        assert disabled < baseline * 1.05, (
-            "disabled telemetry costs %.1f%% (baseline %.4fs, "
-            "disabled %.4fs)" % (100 * (disabled / baseline - 1),
-                                 baseline, disabled))
+        baseline = run(None)
+        observer, _, tracer = baseline[0]
+        assert observer is None and tracer is None
+        assert run(Telemetry.disabled()) == baseline
