@@ -198,13 +198,13 @@ def _cmd_faults(args):
             _json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
         print("wrote %s" % args.json)
     if args.record:
-        from .replay import ReplayTrace, RunOutcome, RunSpec
+        from .replay import ReplayTrace, RunSpec
         trace = ReplayTrace()
         for run in result.runs:
-            if run.spec is None or run.fingerprint is None:
-                continue
-            trace.append(RunSpec.from_dict(run.spec),
-                         RunOutcome(**run.fingerprint))
+            # supervisor-made outcomes have nothing to replay
+            if run.spec is not None and run.run_outcome.executed:
+                trace.append(RunSpec.from_dict(run.spec),
+                             run.run_outcome)
         trace.save(args.record)
         print("recorded %d runs to %s" % (len(trace), args.record))
     if result.interrupted:

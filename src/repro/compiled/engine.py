@@ -89,7 +89,8 @@ class CompiledEngine:
         self._spare = []
         self._uq_spare = []
 
-        #: Run accounting for telemetry / tests.
+        #: Run accounting; ``fallback_reason`` is the reason of the
+        #: most recent decline (None until the engine declines).
         self.runs_compiled = 0
         self.runs_declined = 0
         self.fallback_reason = None
@@ -126,7 +127,6 @@ class CompiledEngine:
             sim._settle_deltas()
             if sim._stop_requested:
                 self.runs_compiled += 1
-                self.fallback_reason = None
                 return True
             plan = self._scan_timed(sim)
             if plan is None:
@@ -135,7 +135,6 @@ class CompiledEngine:
             self.fallback_reason = reason
             self.runs_declined += 1
             return False
-        self.fallback_reason = None
         self.runs_compiled += 1
         if wall_start is not None:
             elapsed = _time.monotonic() - wall_start

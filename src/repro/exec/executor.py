@@ -496,14 +496,10 @@ class CampaignExecutor:
         elif kind == "error":
             # The execution machinery itself raised inside the worker;
             # the simulator layer would have contained a model crash.
-            result = FaultRunResult(
-                scenario=run.scenario, fault=run.fault,
-                outcome="crashed",
-                detail="worker execution error (see traceback)",
-                traceback=message[3], spec=run.spec.to_dict(),
-                attempts=attempt,
-                wall_time_s=time.monotonic() - started,
-            )
+            result = _supervisor_result(
+                run, "crashed", "worker execution error (see traceback)",
+                attempt, time.monotonic() - started)
+            result.run_outcome.traceback_text = message[3]
             self._record_result(run, result)
 
     def _police_workers(self):
@@ -586,13 +582,8 @@ class CampaignExecutor:
             else:
                 # Without checkpoints a re-run would just repeat the
                 # deadline miss; classify it terminally.
-                result = FaultRunResult(
-                    scenario=run.scenario, fault=run.fault,
-                    outcome="timeout", detail=detail,
-                    spec=run.spec.to_dict(), attempts=attempt,
-                    wall_time_s=elapsed,
-                )
-                self._record_result(run, result)
+                self._record_result(run, _supervisor_result(
+                    run, "timeout", detail, attempt, elapsed))
         else:
             self._note_pool_failure()
             if attempt >= self.config.max_attempts:
@@ -608,10 +599,14 @@ class CampaignExecutor:
     def _finalize_out_of_attempts(self, run, detail="", wall_time_s=0.0):
         """A run has burned every dispatch attempt: quarantine it (the
         default) or classify it ``worker-crashed``."""
+        from ..replay import RunOutcome
         attempts = self._attempts.get(run.run_id,
                                       self.config.max_attempts)
         if self.config.quarantine:
-            artefact = self._write_artefact(run, "quarantine")
+            artefact = self._write_artefact(run, "quarantine",
+                                            RunOutcome.empty(
+                "quarantined", detail="no outcome: the run never "
+                                      "finished in any worker"))
             self.report.quarantined[run.run_id] = artefact
             record = {"event": "quarantine", "run": run.run_id,
                       "artefact": artefact}
@@ -619,25 +614,16 @@ class CampaignExecutor:
             if checkpoint_dir:
                 record["checkpoint"] = checkpoint_dir
             self._append_journal(record)
-            result = FaultRunResult(
-                scenario=run.scenario, fault=run.fault,
-                outcome="quarantined",
-                detail="killed its worker %d time(s); RunSpec written "
-                       "to %s%s" % (attempts, artefact,
-                                    " — " + detail if detail else ""),
-                spec=run.spec.to_dict(), attempts=attempts,
-                wall_time_s=wall_time_s,
-            )
+            outcome = "quarantined"
+            detail = ("killed its worker %d time(s); RunSpec written "
+                      "to %s%s" % (attempts, artefact,
+                                   " — " + detail if detail else ""))
         else:
-            result = FaultRunResult(
-                scenario=run.scenario, fault=run.fault,
-                outcome="worker-crashed",
-                detail=detail or "worker died %d time(s); retries "
-                                 "exhausted" % attempts,
-                spec=run.spec.to_dict(), attempts=attempts,
-                wall_time_s=wall_time_s,
-            )
-        self._record_result(run, result)
+            outcome = "worker-crashed"
+            detail = detail or ("worker died %d time(s); retries "
+                                "exhausted" % attempts)
+        self._record_result(run, _supervisor_result(
+            run, outcome, detail, attempts, wall_time_s))
 
     def _reclaim(self, handle):
         """Return a handle's in-flight run to the pending list (its
@@ -731,22 +717,17 @@ class CampaignExecutor:
                               "result": result.to_dict()})
         if result.outcome == "crashed" and result.spec is not None:
             artefact = self._write_artefact(run, "crash",
-                                            fingerprint=result.fingerprint)
+                                            result.run_outcome)
             if artefact:
                 result.detail = (result.detail
                                  + "; RunSpec written to %s" % artefact
                                  if result.detail else
                                  "RunSpec written to %s" % artefact)
 
-    def _write_artefact(self, run, label, fingerprint=None):
+    def _write_artefact(self, run, label, outcome):
         """Dump a single-run replay trace so the failure is one
         ``repro replay --shrink`` away from a minimal reproducer."""
-        from ..replay import ReplayTrace, RunOutcome
-
-        outcome = (RunOutcome(**fingerprint) if fingerprint else
-                   RunOutcome(outcome="quarantined",
-                              detail="no outcome: the run never "
-                                     "finished in any worker"))
+        from ..replay import ReplayTrace
         safe_id = run.run_id.replace("/", "--")
         path = os.path.join(
             self.config.resolve_artefact_dir(),
@@ -758,6 +739,16 @@ class CampaignExecutor:
         except OSError:  # pragma: no cover - unwritable artefact dir
             return None
         return path
+
+
+def _supervisor_result(run, outcome, detail, attempts, wall_time_s):
+    """A result the supervisor made for *run*, whose execution never
+    returned a :class:`~repro.replay.RunOutcome`."""
+    from ..replay import RunOutcome
+    return FaultRunResult(run.scenario, run.fault,
+                          RunOutcome.empty(outcome, executed=False),
+                          spec=run.spec.to_dict(), detail=detail,
+                          attempts=attempts, wall_time_s=wall_time_s)
 
 
 def execute_campaign(runs, config=None):

@@ -45,7 +45,7 @@ def execute_payload(payload, wall_clock_budget=None):
     rest of the result — is a pure function of the ``RunSpec`` and the
     supervisor can merge worker snapshots reproducibly.
     """
-    from ..faults.campaign import result_from_execution
+    from ..faults.campaign import FaultRunResult
     from ..replay import RunSpec, execute
     from ..telemetry import metrics_for_result
 
@@ -72,10 +72,14 @@ def execute_payload(payload, wall_clock_budget=None):
         instrument=probe.install if probe is not None else None,
         checkpoint=plan, resume=plan is not None,
         warm_start=payload.get("warm_start") if plan is None else None)
-    result = result_from_execution(
-        payload["scenario"], payload["fault"], system, outcome,
-        spec=spec, wall_time_s=time.monotonic() - start,
-    )
+    # display detail: the error, else the first watchdog rules
+    watchdog = system.watchdog if system is not None else None
+    detail = outcome.detail or "; ".join(
+        event.rule for event in (watchdog.events if watchdog else [])[:4])
+    result = FaultRunResult(
+        payload["scenario"], payload["fault"], outcome,
+        spec=spec.to_dict(), detail=detail,
+        wall_time_s=time.monotonic() - start)
     result.metrics = metrics_for_result(result)
     if probe is not None:
         result.coverage = probe.coverage_keys(system, outcome)

@@ -28,7 +28,6 @@ from .campaign import (
     derive_run_seed,
     enumerate_campaign,
     fault_slave_factory,
-    result_from_execution,
     run_fault_campaign,
 )
 from .modes import (
@@ -57,6 +56,5 @@ __all__ = [
     "derive_run_seed",
     "enumerate_campaign",
     "fault_slave_factory",
-    "result_from_execution",
     "run_fault_campaign",
 ]

@@ -122,69 +122,93 @@ class CampaignRun:
         return "CampaignRun(%s)" % self.run_id
 
 
-class FaultRunResult:
-    """Outcome and metrics of one (scenario, fault mode) run."""
+def _from_outcome(name, convert=None):
+    """A read-only property passing one fact through from the run's
+    :class:`~repro.replay.RunOutcome`."""
+    def read(self):
+        value = getattr(self.run_outcome, name)
+        return value if convert is None else convert(value)
+    return property(read)
 
-    def __init__(self, scenario, fault, outcome, completed=0, failed=0,
-                 aborted=0, watchdog_events=0, recoveries=0,
-                 violations=0, rules_tripped=(),
-                 recovery_compliant=True, total_energy=0.0,
-                 overhead_energy=0.0, energy_per_txn=0.0,
-                 baseline_energy_per_txn=0.0, detail="",
-                 traceback=None, spec=None, fingerprint=None,
-                 attempts=1, wall_time_s=0.0, metrics=None,
-                 coverage=None, tier="cycle", engine="interpreted"):
+
+class FaultRunResult:
+    """One (scenario, fault mode) run: its campaign identity, the
+    host-side bookkeeping, and the :class:`~repro.replay.RunOutcome`
+    that is the only store of its simulated facts."""
+
+    def __init__(self, scenario, fault, run_outcome, spec=None,
+                 detail="", attempts=1, wall_time_s=0.0, metrics=None,
+                 coverage=None, baseline_energy_per_txn=0.0):
         self.scenario = scenario
         self.fault = fault
-        self.outcome = outcome
-        #: Execution tier the run used (``"cycle"`` or ``"tlm"``).
-        self.tier = tier
-        #: Kernel engine a cycle-tier run requested (``"interpreted"``,
-        #: ``"compiled"`` or ``"auto"``); bit-identical either way.
-        self.engine = engine
-        self.completed = completed
-        self.failed = failed
-        self.aborted = aborted
-        self.watchdog_events = watchdog_events
-        self.recoveries = recoveries
-        self.violations = violations
-        #: Compliance-rule ids that fired during the run, in
-        #: first-occurrence order.
-        self.rules_tripped = tuple(rules_tripped)
-        #: True when no *mandatory* rule fired — the injected fault and
-        #: every watchdog recovery action stayed spec-legal traffic.
-        self.recovery_compliant = recovery_compliant
-        self.total_energy = total_energy
-        self.overhead_energy = overhead_energy
-        self.energy_per_txn = energy_per_txn
-        self.baseline_energy_per_txn = baseline_energy_per_txn
-        self.detail = detail
-        #: Full traceback of a ``crashed`` run (None otherwise).
-        self.traceback = traceback
+        #: The run's :class:`~repro.replay.RunOutcome`.
+        self.run_outcome = run_outcome
         #: The run's :class:`~repro.replay.RunSpec` as a dict, so the
         #: result alone is enough to re-execute or shrink the run.
         self.spec = spec
-        #: The run's :class:`~repro.replay.RunOutcome` fingerprint
-        #: dict (None for runs that never produced one, e.g.
-        #: ``quarantined``).
-        self.fingerprint = fingerprint
+        #: Display text: the run's error, else its first watchdog rules
+        #: or what the supervisor did to it.
+        self.detail = detail
         #: Dispatch attempts the supervised executor spent on the run.
         self.attempts = attempts
         #: Host wall-clock seconds the (final) attempt took.
         self.wall_time_s = wall_time_s
         #: Per-run telemetry registry snapshot (see
-        #: :func:`repro.telemetry.metrics_for_result`); None for
-        #: results produced before the telemetry layer existed.
+        #: :func:`repro.telemetry.metrics_for_result`), or None.
         self.metrics = metrics
         #: Sorted coverage keys observed by the fuzz probe (see
         #: :mod:`repro.fuzz.coverage`); None unless the run executed
         #: with coverage collection enabled.
         self.coverage = list(coverage) if coverage is not None else None
+        #: Energy per completed transaction of the scenario's
+        #: fault-free run (filled in by the campaign assembly).
+        self.baseline_energy_per_txn = baseline_energy_per_txn
+
+    outcome = _from_outcome("outcome")
+    completed = _from_outcome("completed")
+    failed = _from_outcome("failed")
+    aborted = _from_outcome("aborted")
+    watchdog_events = _from_outcome("watchdog_events")
+    recoveries = _from_outcome("recoveries")
+    violations = _from_outcome("violations")
+    #: Compliance-rule ids that fired, in first-occurrence order.
+    rules_tripped = _from_outcome("rules_tripped", tuple)
+    #: True when no *mandatory* rule fired.
+    recovery_compliant = _from_outcome("recovery_compliant")
+    total_energy = _from_outcome("total_energy_j")
+    overhead_energy = _from_outcome("overhead_energy_j")
+    #: Full traceback of a ``crashed`` run (None otherwise).
+    traceback = _from_outcome("traceback_text")
+
+    @property
+    def fingerprint(self):
+        """The outcome's fingerprint dict; None for a supervisor-made
+        result, whose run never returned an outcome."""
+        if not self.run_outcome.executed:
+            return None
+        return self.run_outcome.fingerprint()
+
+    @property
+    def tier(self):
+        """Execution tier the run used (``"cycle"`` or ``"tlm"``)."""
+        return (self.spec or {}).get("tier", "cycle")
+
+    @property
+    def engine(self):
+        """Kernel engine the run requested; what actually ran is
+        ``run_outcome.engine_actual``."""
+        return (self.spec or {}).get("engine", "interpreted")
 
     @property
     def run_id(self):
         """Stable campaign-wide identity of this cell."""
         return "%s/%s" % (self.scenario, self.fault)
+
+    @property
+    def energy_per_txn(self):
+        """Total energy per successfully completed transaction."""
+        ok_txns = self.completed - self.failed
+        return self.total_energy / ok_txns if ok_txns else 0.0
 
     @property
     def energy_overhead_ratio(self):
@@ -194,58 +218,53 @@ class FaultRunResult:
         return (self.energy_per_txn / self.baseline_energy_per_txn) - 1.0
 
     def to_dict(self):
-        return {
+        """The per-run record (journal line, ``--json`` report row);
+        docs/RESILIENCE.md §5 documents every key."""
+        data = {
             "scenario": self.scenario,
             "fault": self.fault,
-            "tier": self.tier,
-            "engine": self.engine,
-            "outcome": self.outcome,
-            "completed": self.completed,
-            "failed": self.failed,
-            "aborted": self.aborted,
-            "watchdog_events": self.watchdog_events,
-            "recoveries": self.recoveries,
-            "violations": self.violations,
-            "rules_tripped": list(self.rules_tripped),
-            "recovery_compliant": self.recovery_compliant,
-            "total_energy_j": self.total_energy,
-            "overhead_energy_j": self.overhead_energy,
-            "energy_per_txn_j": self.energy_per_txn,
-            "baseline_energy_per_txn_j": self.baseline_energy_per_txn,
-            "energy_overhead_ratio": self.energy_overhead_ratio,
-            "detail": self.detail,
-            "traceback": self.traceback,
             "spec": self.spec,
             "fingerprint": self.fingerprint,
+            "engine_actual": self.run_outcome.engine_actual,
+            "fallback_reason": self.run_outcome.fallback_reason,
+            "traceback": self.traceback,
             "attempts": self.attempts,
             "wall_time_s": self.wall_time_s,
             "metrics": self.metrics,
             "coverage": self.coverage,
+            "baseline_energy_per_txn_j": self.baseline_energy_per_txn,
+            "energy_overhead_ratio": self.energy_overhead_ratio,
         }
+        if not self.run_outcome.executed:
+            # Without a fingerprint the outcome is the run's only fact.
+            data["outcome"] = self.outcome
+        if self.detail != self.run_outcome.detail:
+            data["detail"] = self.detail
+        return data
 
     @classmethod
     def from_dict(cls, data):
         """Rebuild a result from :meth:`to_dict` output (journal
-        resume path).  Unknown keys are ignored for forward
-        compatibility."""
-        renames = {
-            "total_energy_j": "total_energy",
-            "overhead_energy_j": "overhead_energy",
-            "energy_per_txn_j": "energy_per_txn",
-            "baseline_energy_per_txn_j": "baseline_energy_per_txn",
-        }
-        known = ("scenario", "fault", "tier", "engine", "outcome",
-                 "completed",
-                 "failed", "aborted", "watchdog_events", "recoveries",
-                 "violations", "rules_tripped", "recovery_compliant",
-                 "detail", "traceback", "spec", "fingerprint",
-                 "attempts", "wall_time_s", "metrics", "coverage")
-        kwargs = {}
-        for key, value in data.items():
-            key = renames.get(key, key)
-            if key in known or key in renames.values():
-                kwargs[key] = value
-        return cls(**kwargs)
+        resume path).  Records that still carry flat copies of the
+        fingerprint fields load too; unknown keys are ignored."""
+        from ..replay import RunOutcome  # deferred: replay imports us
+        if data.get("fingerprint") is None:
+            outcome = RunOutcome.empty(data["outcome"], executed=False)
+        else:
+            outcome = RunOutcome(**data["fingerprint"])
+        outcome.traceback_text = data.get("traceback")
+        outcome.engine_actual = data.get("engine_actual")
+        outcome.fallback_reason = data.get("fallback_reason")
+        return cls(
+            data["scenario"], data["fault"], outcome,
+            spec=data.get("spec"),
+            detail=data.get("detail", outcome.detail),
+            attempts=data.get("attempts", 1),
+            wall_time_s=data.get("wall_time_s", 0.0),
+            metrics=data.get("metrics"), coverage=data.get("coverage"),
+            baseline_energy_per_txn=data.get(
+                "baseline_energy_per_txn_j", 0.0),
+        )
 
     def __repr__(self):
         return "FaultRunResult(%s/%s: %s)" % (
@@ -344,62 +363,6 @@ class CampaignResult:
             "runs": [run.to_dict() for run in self.runs],
             "campaign_metrics": self.metrics().to_dict(),
         }
-
-
-def _classify(system, error_text, timed_out=False):
-    """Map a finished (or dead) system to a campaign outcome."""
-    if timed_out:
-        return "timeout"
-    if error_text is not None:
-        return "crashed"
-    watchdog = system.watchdog
-    failed = system.transactions_failed()
-    events = len(watchdog.events) if watchdog is not None else 0
-    recoveries = watchdog.recoveries if watchdog is not None else 0
-    if events:
-        # A momentary HREADY-low end-of-run snapshot is normal (the
-        # middle of a two-cycle response); the reliable hang signal is
-        # the watchdog detecting hazards it could not recover from.
-        return "recovered" if recoveries else "hung"
-    if failed:
-        return "degraded"
-    return "completed"
-
-
-def result_from_execution(scenario, fault, system, outcome, spec=None,
-                          wall_time_s=0.0, attempts=1):
-    """Condense one executed ``(system, RunOutcome)`` pair into a
-    :class:`FaultRunResult` (``baseline_energy_per_txn`` is filled in
-    by the campaign assembly once the scenario baseline is known)."""
-    ok_txns = (outcome.completed or 0) - (outcome.failed or 0)
-    total_energy = outcome.total_energy_j or 0.0
-    energy_per_txn = total_energy / ok_txns if ok_txns else 0.0
-    watchdog = system.watchdog if system is not None else None
-    detail = outcome.detail or "; ".join(
-        event.rule for event in (watchdog.events if watchdog else [])[:4]
-    )
-    return FaultRunResult(
-        scenario=scenario, fault=fault, outcome=outcome.outcome,
-        tier=getattr(spec, "tier", "cycle") if spec is not None
-        else "cycle",
-        engine=getattr(spec, "engine", "interpreted")
-        if spec is not None else "interpreted",
-        completed=outcome.completed or 0, failed=outcome.failed or 0,
-        aborted=outcome.aborted or 0,
-        watchdog_events=outcome.watchdog_events or 0,
-        recoveries=outcome.recoveries or 0,
-        violations=outcome.violations or 0,
-        rules_tripped=tuple(outcome.rules_tripped or ()),
-        recovery_compliant=bool(outcome.recovery_compliant),
-        total_energy=total_energy,
-        overhead_energy=outcome.overhead_energy_j or 0.0,
-        energy_per_txn=energy_per_txn,
-        detail=detail,
-        traceback=getattr(outcome, "traceback_text", None),
-        spec=spec.to_dict() if spec is not None else None,
-        fingerprint=outcome.fingerprint(),
-        attempts=attempts, wall_time_s=wall_time_s,
-    )
 
 
 def enumerate_campaign(scenarios, faults, seed=1, duration_us=20.0,

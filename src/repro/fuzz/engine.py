@@ -35,7 +35,7 @@ import time
 
 from ..exec import ExecutorConfig, execute_campaign
 from ..faults.campaign import CampaignRun
-from ..replay import RunOutcome, RunSpec, campaign_spec
+from ..replay import RunSpec, campaign_spec
 from ..replay.shrink import failure_signature, shrink
 from ..replay.trace import ReplayTrace
 from ..state import atomic_write_json
@@ -490,9 +490,8 @@ class FuzzCampaign:
         if result.outcome == "timeout":
             self.report.timeouts += 1
             return
-        outcome = (RunOutcome(**result.fingerprint)
-                   if result.fingerprint else None)
-        if outcome is not None and outcome.failing:
+        outcome = result.run_outcome
+        if outcome.executed and outcome.failing:
             self._handle_failure(result, outcome)
         elif result.outcome in INFRA_FAILURES:
             self.report.failures.append({

@@ -23,7 +23,7 @@ import json
 import traceback as _traceback
 
 from ..amba.transactions import reset_txn_ids
-from ..faults.campaign import _classify, fault_slave_factory
+from ..faults.campaign import fault_slave_factory
 from ..kernel import FaultInjector, WallClockDeadlineError, us
 from ..state import resume_latest, run_with_checkpoints
 from ..workloads import build_scenario
@@ -202,6 +202,26 @@ class RunSpec:
         )
 
 
+def _classify(system, error_text, timed_out=False):
+    """Map a finished (or dead) system to a campaign outcome."""
+    if timed_out:
+        return "timeout"
+    if error_text is not None:
+        return "crashed"
+    watchdog = system.watchdog
+    failed = system.transactions_failed()
+    events = len(watchdog.events) if watchdog is not None else 0
+    recoveries = watchdog.recoveries if watchdog is not None else 0
+    if events:
+        # A momentary HREADY-low end-of-run snapshot is normal (the
+        # middle of a two-cycle response); the reliable hang signal is
+        # the watchdog detecting hazards it could not recover from.
+        return "recovered" if recoveries else "hung"
+    if failed:
+        return "degraded"
+    return "completed"
+
+
 class RunOutcome:
     """Comparable fingerprint of one executed run.
 
@@ -226,11 +246,34 @@ class RunOutcome:
     #: bit-exact comparisons stay path/line-number independent).
     traceback_text = None
 
+    #: Engine that ran the simulation (outside the engine-independent
+    #: fingerprint): ``"compiled"`` only if no run call declined, else
+    #: ``"interpreted"``; ``"tlm"`` on the TLM tier; None if none ran.
+    engine_actual = None
+    #: The ``CompileError`` swallowed under ``engine="auto"``, or the
+    #: compiled engine's last decline reason; None otherwise.
+    fallback_reason = None
+    #: False for an outcome the campaign supervisor made for a run
+    #: whose execution never returned: it has no fingerprint to replay.
+    executed = True
+
     #: State-digest stream recorded when the run was executed with a
     #: checkpoint plan: ``{"interval_cycles": N, "entries": [...]}``.
     #: Outside the fingerprint (it is the *oracle* for the fingerprint,
     #: verified separately by :func:`repro.replay.verify_digests`).
     digests = None
+
+    @classmethod
+    def empty(cls, outcome, detail="", executed=True):
+        """An outcome that carries no simulated data: zero counts,
+        zero energy, no violations."""
+        made = cls(outcome=outcome, completed=0, failed=0, aborted=0,
+                   watchdog_events=0, recoveries=0, violations=0,
+                   rules_tripped=[], recovery_compliant=True,
+                   total_energy_j=0.0, overhead_energy_j=0.0,
+                   detail=detail)
+        made.executed = executed
+        return made
 
     @classmethod
     def of(cls, system, error_text=None, timed_out=False):
@@ -378,6 +421,7 @@ def execute(spec, wall_clock_budget=None, instrument=None,
     error_text = None
     error_traceback = None
     timed_out = False
+    engine = fallback_reason = None
     digest_entries = []
     reset_txn_ids()
     try:
@@ -426,8 +470,9 @@ def execute(spec, wall_clock_budget=None, instrument=None,
             # fingerprint and digest stream are engine-independent.
             from ..compiled import CompileError, compile_system
             try:
-                compile_system(system)
-            except CompileError:
+                engine = compile_system(system)
+            except CompileError as exc:
+                fallback_reason = "%s: %s" % (type(exc).__name__, exc)
                 if spec.engine == "compiled":
                     raise    # contained below as a ``crashed`` outcome
                 # engine == "auto": run interpreted
@@ -458,15 +503,16 @@ def execute(spec, wall_clock_budget=None, instrument=None,
     if system is None:
         # Elaboration itself crashed: no system to fingerprint, but
         # the failure must still be contained and replayable.
-        outcome = RunOutcome(
-            outcome="crashed", completed=0, failed=0, aborted=0,
-            watchdog_events=0, recoveries=0, violations=0,
-            rules_tripped=[], recovery_compliant=True,
-            total_energy_j=0.0, overhead_energy_j=0.0,
-            detail=error_text or "")
+        outcome = RunOutcome.empty("crashed", detail=error_text or "")
     else:
         outcome = RunOutcome.of(system, error_text,
                                 timed_out=timed_out)
+        if engine is not None and engine.runs_declined:
+            fallback_reason = engine.fallback_reason
+            engine = None
+        outcome.engine_actual = ("interpreted" if engine is None
+                                 else "compiled")
+        outcome.fallback_reason = fallback_reason
     outcome.traceback_text = error_traceback
     if checkpoint is not None:
         if checkpoint.store is not None:

@@ -108,14 +108,10 @@ def execute_tlm(spec, wall_clock_budget=None, table=None):
         error_text = "%s: %s" % (type(exc).__name__, exc)
         error_traceback = _traceback.format_exc()
     if system is None:
-        outcome = RunOutcome(
-            outcome="crashed", completed=0, failed=0, aborted=0,
-            watchdog_events=0, recoveries=0, violations=0,
-            rules_tripped=[], recovery_compliant=True,
-            total_energy_j=0.0, overhead_energy_j=0.0,
-            detail=error_text or "")
+        outcome = RunOutcome.empty("crashed", detail=error_text or "")
     else:
         outcome = RunOutcome.of(system, error_text,
                                 timed_out=timed_out)
+        outcome.engine_actual = "tlm"
     outcome.traceback_text = error_traceback
     return system, outcome

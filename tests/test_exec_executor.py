@@ -261,6 +261,18 @@ class TestResume:
         a, b = fresh_none.to_dict(), resumed_none.to_dict()
         a.pop("wall_time_s"), b.pop("wall_time_s")
         assert a == b
+        # `faults --record` leaves the supervisor-made outcomes
+        # (timeout, quarantined), which have nothing to replay, out of
+        # the trace.
+        trace_path = str(tmp_path / "campaign.trace.json")
+        assert main(["faults", "--scenario", SCENARIO,
+                     "--fault", "always-retry", "--fault", "hung-slave",
+                     "--duration-us", "2", "--journal", journal,
+                     "--resume", "--record", trace_path]) == 1
+        trace = ReplayTrace.load(trace_path)
+        assert [spec.to_dict() for spec, _ in trace] \
+            == [resumed_none.spec]
+        assert trace[0][1] == resumed_none.run_outcome
 
 
 class TestDegradation:

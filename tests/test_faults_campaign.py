@@ -18,6 +18,7 @@ from repro.faults import (
     fault_slave_factory,
     run_fault_campaign,
 )
+from repro.replay import RunOutcome
 
 
 @pytest.fixture(scope="module")
@@ -95,16 +96,16 @@ class TestCampaignReporting:
         assert payload["ok"] is True
         assert len(payload["runs"]) == 6
         run = payload["runs"][0]
-        assert "overhead_energy_j" in run
+        assert "overhead_energy_j" in run["fingerprint"]
         assert "energy_overhead_ratio" in run
 
     def test_result_reprs(self, campaign):
         assert "portable-audio-player" in repr(campaign.runs[0])
 
     def test_campaign_not_ok_when_a_run_hangs(self):
-        bad = FaultRunResult("s", "f", "hung")
+        bad = FaultRunResult("s", "f", RunOutcome.empty("hung"))
         assert not CampaignResult([bad], duration_us=1.0).ok
-        crashed = FaultRunResult("s", "f", "crashed")
+        crashed = FaultRunResult("s", "f", RunOutcome.empty("crashed"))
         assert not CampaignResult([crashed], duration_us=1.0).ok
 
 

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.faults import FaultRunResult, run_fault_campaign
+from repro.replay import RunOutcome
 from repro.telemetry import (
     CampaignMetrics,
     campaign_metrics,
@@ -16,12 +17,15 @@ from repro.telemetry import (
 from repro.telemetry.registry import MetricsRegistry
 
 
-def make_result(scenario="s", fault="f", outcome="completed", **kwargs):
-    defaults = dict(completed=10, failed=1, watchdog_events=2,
-                    recoveries=1, violations=3, total_energy=2e-9,
-                    overhead_energy=5e-10)
-    defaults.update(kwargs)
-    return FaultRunResult(scenario, fault, outcome, **defaults)
+def make_result(scenario="s", fault="f", outcome="completed",
+                wall_time_s=0.0, **fields):
+    values = dict(RunOutcome.empty(outcome).fingerprint(),
+                  completed=10, failed=1, watchdog_events=2,
+                  recoveries=1, violations=3, total_energy_j=2e-9,
+                  overhead_energy_j=5e-10)
+    values.update(fields)
+    return FaultRunResult(scenario, fault, RunOutcome(**values),
+                          wall_time_s=wall_time_s)
 
 
 class TestRecording:
@@ -49,7 +53,7 @@ class TestRecording:
         yield the same snapshot shape as worker-recorded ones."""
         registry = MetricsRegistry()
         record_run_metrics(registry, make_result(
-            outcome="quarantined", completed=0, total_energy=0.0))
+            outcome="quarantined", completed=0, total_energy_j=0.0))
         snapshot = registry.snapshot()
         assert snapshot["counters"]["campaign_runs_total"]["series"][
             "scenario=s,fault=f,outcome=quarantined"] == 1.0
@@ -83,7 +87,7 @@ class TestCampaignMetrics:
         result.metrics = metrics_for_result(result)
         # mutating the result after attaching must not change the
         # merged metrics: the snapshot is authoritative
-        result.completed = 999
+        result.run_outcome.completed = 999
         merged = campaign_metrics([result]).merged
         assert merged["counters"]["campaign_txns_completed_total"][
             "series"]["scenario=s,fault=f"] == 10.0
