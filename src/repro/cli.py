@@ -295,7 +295,6 @@ def _cmd_fuzz(args):
         max_sim_us=args.sim_budget_us,
         wall_budget_s=args.time_budget,
         resume=args.resume,
-        warm_start=args.warm_start,
         engine=args.engine,
     )
     report = run_fuzz_campaign(args.corpus, config)
@@ -699,11 +698,6 @@ def build_parser():
     fuzz_parser.add_argument(
         "--resume", action="store_true",
         help="restore the corpus state.json and continue the campaign")
-    fuzz_parser.add_argument(
-        "--warm-start", action="store_true",
-        help="warm-start mutated candidates from shared scenario-"
-             "prefix checkpoints (CORPUS/warmstart); corpus evolution "
-             "stays bit-identical to a cold campaign")
     fuzz_parser.add_argument(
         "--engine", choices=("interpreted", "compiled", "auto"),
         default="interpreted",

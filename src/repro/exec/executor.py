@@ -122,15 +122,6 @@ class ExecutorConfig:
         ``max_attempts``) instead of being classified terminally,
         and the final state is provably identical to an uninterrupted
         run (same digest stream).
-    warm_start_dir:
-        Directory of shared scenario-prefix checkpoints
-        (:class:`~repro.fuzz.warmstart.WarmStartCache`).  Each run
-        whose spec admits a safe prefix (no signal-fault window opens
-        immediately) restores the prefix checkpoint left by an earlier
-        sibling — or cold-starts and leaves one behind.  Bit-exactness
-        per run is unchanged (the fuzz engine's determinism tests hold
-        with warm-starting on); mutually exclusive with
-        ``checkpoint_dir``, which owns the run loop when set.
     """
 
     def __init__(self, jobs=1, timeout=None, journal=None, resume=False,
@@ -139,8 +130,7 @@ class ExecutorConfig:
                  heartbeat_timeout=30.0, artefact_dir=None,
                  start_method=None, poll_interval=0.05,
                  collect_coverage=False, checkpoint_dir=None,
-                 checkpoint_interval=1000, checkpoint_keep=2,
-                 warm_start_dir=None):
+                 checkpoint_interval=1000, checkpoint_keep=2):
         self.jobs = max(1, int(jobs))
         self.timeout = timeout
         self.journal = journal
@@ -159,7 +149,6 @@ class ExecutorConfig:
         self.checkpoint_interval = max(0, int(checkpoint_interval))
         self.checkpoint_keep = (max(1, int(checkpoint_keep))
                                 if checkpoint_keep is not None else None)
-        self.warm_start_dir = warm_start_dir
 
     @property
     def hard_deadline(self):
@@ -672,15 +661,6 @@ class CampaignExecutor:
                 "interval_cycles": self.config.checkpoint_interval,
                 "keep": self.config.checkpoint_keep,
             }
-        elif self.config.warm_start_dir:
-            # Lazy import: exec must stay importable without the fuzz
-            # package loaded (fuzz imports exec, never the reverse at
-            # module scope).
-            from ..fuzz.warmstart import WarmStartCache
-            warm = WarmStartCache(self.config.warm_start_dir).plan(
-                run.spec)
-            if warm is not None:
-                payload["warm_start"] = warm
         return payload
 
     def _dispatch_record(self, run, attempt, worker_pid):

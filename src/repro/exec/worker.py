@@ -70,8 +70,7 @@ def execute_payload(payload, wall_clock_budget=None):
     system, outcome = execute(
         spec, wall_clock_budget=wall_clock_budget,
         instrument=probe.install if probe is not None else None,
-        checkpoint=plan, resume=plan is not None,
-        warm_start=payload.get("warm_start") if plan is None else None)
+        checkpoint=plan, resume=plan is not None)
     # display detail: the error, else the first watchdog rules
     watchdog = system.watchdog if system is not None else None
     detail = outcome.detail or "; ".join(

@@ -12,9 +12,7 @@ the supervised executor (:mod:`repro.exec`), the ddmin shrinker
 * :mod:`repro.fuzz.corpus` — deterministic, seed-stable corpus store;
 * :mod:`repro.fuzz.engine` — the campaign loop: mutate, execute under
   budget, admit novel coverage, shrink novel failures into committed
-  reproducer regression tests;
-* :mod:`repro.fuzz.warmstart` — shared scenario-prefix checkpoints so
-  mutated siblings skip re-simulating their common prefix.
+  reproducer regression tests.
 
 See ``docs/RESILIENCE.md`` §6 for the workflow.
 """
@@ -29,7 +27,6 @@ from .engine import (
     write_reproducer,
 )
 from .mutators import MUTATOR_NAMES, MUTATORS, mutate
-from .warmstart import WarmStartCache, prefix_horizon_ps, prefix_signature
 
 __all__ = [
     "Corpus",
@@ -41,11 +38,8 @@ __all__ = [
     "FuzzReport",
     "MUTATORS",
     "MUTATOR_NAMES",
-    "WarmStartCache",
     "entry_id_for",
     "mutate",
-    "prefix_horizon_ps",
-    "prefix_signature",
     "run_fuzz_campaign",
     "write_reproducer",
 ]

@@ -123,12 +123,10 @@ class CoverageProbe:
             fsm = system.monitor.fsm
             self._power = _PowerCoverage(self.keys, chained=fsm.tracer)
             fsm.tracer = self._power
-        # The probe is itself checkpointable state: mid-run snapshots
-        # (periodic checkpoints, shared warm-start prefixes) capture
-        # the keys observed so far plus the monitors' edge-detection
-        # state, so a restored run accumulates the exact key set a
-        # straight run would have — coverage-guided corpus evolution
-        # stays bit-identical whether or not a prefix was skipped.
+        # The probe is itself checkpointable state: periodic
+        # checkpoints capture the keys observed so far plus the
+        # monitors' edge-detection state, so a run resumed from one
+        # accumulates the exact key set a straight run would have.
         system.sim.register_state("fuzz_coverage", self)
 
     def state_dict(self):

@@ -97,14 +97,6 @@ class FuzzConfig:
     resume:
         Restore ``state.json`` (RNG state, budgets, seen failure
         signatures) and continue the campaign.
-    warm_start:
-        Warm-start mutated candidates from shared scenario-prefix
-        checkpoints (``<corpus>/warmstart/``, see
-        :mod:`repro.fuzz.warmstart`): siblings that differ from their
-        parent only after the first signal-fault window opens skip
-        re-simulating the common prefix.  Corpus evolution stays
-        bit-identical to a cold campaign — the probe's coverage state
-        is checkpointed along with the simulation.
     engine:
         Kernel engine stamped into the seed genomes (mutation
         preserves it), so a whole campaign can run on the compiled
@@ -118,8 +110,7 @@ class FuzzConfig:
                  batch_size=8, shrink=True, min_shrink_duration_us=0.5,
                  reproducer_dir=None, coverage_out=None,
                  max_sim_us=None, max_energy_j=None,
-                 wall_budget_s=None, resume=False, warm_start=False,
-                 engine="interpreted"):
+                 wall_budget_s=None, resume=False, engine="interpreted"):
         self.budget = max(1, int(budget))
         self.seed = int(seed)
         self.jobs = max(1, int(jobs))
@@ -136,7 +127,6 @@ class FuzzConfig:
         self.max_energy_j = max_energy_j
         self.wall_budget_s = wall_budget_s
         self.resume = resume
-        self.warm_start = warm_start
         self.engine = engine
 
 
@@ -456,9 +446,7 @@ class FuzzCampaign:
                 for entry_id, spec, _, _ in batch]
         exec_config = ExecutorConfig(
             jobs=self.config.jobs, timeout=self.config.timeout,
-            collect_coverage=True, artefact_dir=self.root,
-            warm_start_dir=(os.path.join(self.root, "warmstart")
-                            if self.config.warm_start else None))
+            collect_coverage=True, artefact_dir=self.root)
         return execute_campaign(runs, exec_config)
 
     def _fold_batch(self, batch, exec_report, admit_all=False):

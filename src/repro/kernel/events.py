@@ -99,8 +99,10 @@ class Process:
     """Common bookkeeping shared by method and thread processes.
 
     ``run_fn`` is the callable the scheduler dispatches; it defaults to
-    the process's own ``_run`` and exists as an instance slot so tools
-    (e.g. :class:`~repro.kernel.stats.SimulationProfiler`) can wrap it.
+    the process's own ``_run`` and exists as an instance slot so a
+    caller can wrap it (the compiled engine then declines the process).
+    Observing activations needs no wrapper:
+    :meth:`Simulator.attach_observer` reports each one.
     """
 
     __slots__ = ("sim", "name", "terminated", "run_fn")

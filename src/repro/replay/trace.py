@@ -330,57 +330,8 @@ class RunOutcome:
         )
 
 
-#: Don't produce a shared warm-start checkpoint below this prefix
-#: length — restore overhead would rival the simulation it saves.
-#: (Local constant: the fuzz layer imports replay, never the reverse.)
-_MIN_WARM_CYCLES = 64
-
-
-def _run_warm(system, warm, duration_ps, wall_clock_budget):
-    """Run *system* for *duration_ps*, restoring (or producing) a
-    shared scenario-prefix checkpoint described by *warm*.
-
-    ``warm`` is the dict built by
-    :meth:`repro.fuzz.warmstart.WarmStartCache.plan`: the store
-    directory shared by all sibling genomes with the same prefix
-    signature, plus ``horizon_ps`` — the latest kernel time (exclusive)
-    a checkpoint may be reused at for *this* spec (strictly before its
-    earliest signal-fault window opens).  A usable checkpoint is
-    restored and only the remainder simulated; otherwise the run cold
-    starts, leaving a mid-prefix checkpoint behind for later siblings.
-    Either way the simulated trajectory is bit-identical to a plain
-    ``system.run(duration_ps)`` — the checkpoint layer's exactness
-    contract, plus the conservative prefix signature, guarantee it.
-    """
-    from ..state import CheckpointStore
-    store = CheckpointStore(warm["dir"], keep=1)
-    horizon = min(int(warm["horizon_ps"]), duration_ps)
-    snapshot = store.latest()
-    if snapshot is not None:
-        time_ps = int(snapshot.time_ps)
-        if 0 < time_ps < horizon:
-            system.restore(snapshot)
-            system.run(duration_ps - time_ps,
-                       wall_clock_budget=wall_clock_budget)
-            return
-    period = system.clk.period
-    warm_cycles = horizon // 2 // period
-    warm_ps = warm_cycles * period
-    if warm_cycles < _MIN_WARM_CYCLES or warm_ps >= duration_ps:
-        system.run(duration_ps, wall_clock_budget=wall_clock_budget)
-        return
-    system.run(warm_ps, wall_clock_budget=wall_clock_budget)
-    # No digest stream: streams are per-run records, and concurrent
-    # producers of one signature would interleave a shared one.  The
-    # write is atomic, so racing producers at worst store identical
-    # bytes twice.
-    store.put(system.snapshot(), record_stream=False)
-    system.run(duration_ps - warm_ps,
-               wall_clock_budget=wall_clock_budget)
-
-
 def execute(spec, wall_clock_budget=None, instrument=None,
-            checkpoint=None, resume=False, warm_start=None):
+            checkpoint=None, resume=False):
     """Re-execute *spec* on the kernel; return ``(system, outcome)``.
 
     Simulator exceptions are contained into the outcome (``crashed``,
@@ -393,27 +344,24 @@ def execute(spec, wall_clock_budget=None, instrument=None,
     (the fuzz engine hooks its coverage probe in here); its hooks must
     be strictly observe-only or the bit-exactness contract breaks.
 
-    ``checkpoint`` is an optional
-    :class:`~repro.state.CheckpointPlan`: the run executes in chunks,
-    recording a state digest at every interval boundary (and at the
-    end), available afterwards on ``outcome.digests``.  With
-    ``resume=True`` and a plan whose store holds a checkpoint, the run
-    restores the newest one and executes only the remaining duration —
-    intra-run crash recovery.  The global transaction id counter is
-    reset at entry (and captured in snapshots) so runs executed in the
-    same process stay bit-identical.
-
-    ``warm_start`` is an optional shared-prefix instruction (see
-    :func:`_run_warm` and :mod:`repro.fuzz.warmstart`); it is honoured
-    only when ``checkpoint`` is ``None`` — periodic checkpointing
-    already owns the run loop, and mixing the two would record digest
-    streams with a skipped prefix.
+    Every cycle-tier run goes through
+    :func:`~repro.state.run_with_checkpoints`.  ``checkpoint`` is an
+    optional :class:`~repro.state.CheckpointPlan`: the run executes in
+    chunks, recording a state digest at every interval boundary (and
+    at the end, even for a zero-length run), available afterwards on
+    ``outcome.digests``; without a plan the run goes straight through.
+    With ``resume=True`` and a plan whose store holds a checkpoint, the
+    run restores the newest one and executes only the remaining
+    duration — intra-run crash recovery; a run restored at its end
+    records nothing more.  The global transaction id counter is reset
+    at entry (and captured in snapshots) so runs executed in the same
+    process stay bit-identical.
     """
     if spec.tier == "tlm":
         # Transaction-level runs are cheap enough that re-execution is
-        # the recovery strategy: instrumentation, checkpoint plans and
-        # warm starts have no transaction-level equivalent and are
-        # deliberately ignored.  Run-level journal resume still works
+        # the recovery strategy: instrumentation and checkpoint plans
+        # have no transaction-level equivalent and are deliberately
+        # ignored.  Run-level journal resume still works
         # unchanged.
         from ..tlm import execute_tlm
         return execute_tlm(spec, wall_clock_budget=wall_clock_budget)
@@ -476,24 +424,18 @@ def execute(spec, wall_clock_budget=None, instrument=None,
                 if spec.engine == "compiled":
                     raise    # contained below as a ``crashed`` outcome
                 # engine == "auto": run interpreted
-        if checkpoint is None:
-            if warm_start is not None:
-                _run_warm(system, warm_start, us(spec.duration_us),
-                          wall_clock_budget)
-            else:
-                system.run(us(spec.duration_us),
-                           wall_clock_budget=wall_clock_budget)
-        else:
-            if resume and checkpoint.store is not None:
-                resume_latest(system, checkpoint.store)
-            remaining = us(spec.duration_us) - system.sim.now
-            if remaining > 0:
-                run_with_checkpoints(
-                    system, remaining, checkpoint,
-                    wall_clock_budget=wall_clock_budget,
-                    on_interval=lambda _snap, entry:
-                    digest_entries.append(entry),
-                )
+        restored = None
+        if resume and checkpoint is not None \
+                and checkpoint.store is not None:
+            restored = resume_latest(system, checkpoint.store)
+        remaining = us(spec.duration_us) - system.sim.now
+        if restored is None or remaining > 0:
+            run_with_checkpoints(
+                system, remaining, checkpoint,
+                wall_clock_budget=wall_clock_budget,
+                on_interval=lambda _snap, entry:
+                digest_entries.append(entry),
+            )
     except WallClockDeadlineError as exc:
         error_text = "%s: %s" % (type(exc).__name__, exc)
         timed_out = True

@@ -111,7 +111,9 @@ def run_with_checkpoints(system, duration_ps, plan,
         if on_boundary or at_end:
             _capture(system, plan, records, on_interval)
     if not records:
-        # Zero-duration run: still record the (initial) state once.
+        # Zero-duration run: still record the (initial) state once,
+        # after settling the initial delta cycles as ``run(0)`` does.
+        sim.run(until=sim.now, wall_clock_budget=wall_clock_budget)
         _capture(system, plan, records, on_interval)
     return records
 

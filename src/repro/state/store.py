@@ -41,20 +41,20 @@ class CheckpointStore:
 
     # -- writing --------------------------------------------------------
 
-    def put(self, snapshot, record_stream=True):
-        """Persist *snapshot*; returns its path."""
+    def put(self, snapshot):
+        """Persist *snapshot* and append its digest to the stream;
+        returns its path."""
         os.makedirs(self.root, exist_ok=True)
         name = "ckpt-%012d-%s.json" % (snapshot.cycle,
                                        snapshot.digest[:12])
         path = os.path.join(self.root, name)
         snapshot.save(path)
-        if record_stream:
-            self.append_stream_entry({
-                "cycle": snapshot.cycle,
-                "time_ps": snapshot.time_ps,
-                "digest": snapshot.digest,
-                "sections": snapshot.section_digests(),
-            })
+        self.append_stream_entry({
+            "cycle": snapshot.cycle,
+            "time_ps": snapshot.time_ps,
+            "digest": snapshot.digest,
+            "sections": snapshot.section_digests(),
+        })
         self._prune()
         return path
 

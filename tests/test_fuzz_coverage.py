@@ -72,6 +72,18 @@ class TestProbe:
         # the fingerprint, violation cycles and energies included
         assert bare == probed
 
+    def test_probe_state_round_trips_through_snapshot(self):
+        spec = campaign_spec("portable-audio-player", "none", seed=1,
+                             duration_us=2.0)
+        probe = CoverageProbe()
+        system, _ = execute(spec, instrument=probe.install)
+        state = json.loads(json.dumps(probe.state_dict()))
+        clone_probe = CoverageProbe()
+        clone, _ = execute(spec, instrument=clone_probe.install)
+        clone_probe.load_state_dict(state)
+        assert clone_probe.state_dict() == probe.state_dict()
+        assert clone_probe.keys == probe.keys
+
 
 class TestLatencyBuckets:
     def test_power_of_two_buckets(self):

@@ -17,7 +17,7 @@ from repro.cli import main
 from repro.kernel import StateError, us
 from repro.replay import campaign_spec, execute
 from repro.replay.verify import compare_streams, verify_digests
-from repro.state import CheckpointPlan, CheckpointStore
+from repro.state import CheckpointPlan, CheckpointStore, run_with_checkpoints
 from repro.workloads import build_scenario
 
 SCENARIO = "portable-audio-player"
@@ -111,6 +111,38 @@ class TestStoreResume:
                             resume=True)
         # resumed execution only simulated the last microsecond
         assert system.sim.now == us(3)
+
+
+class TestZeroLengthRuns:
+    def test_zero_length_checkpointed_run_records_initial_state(
+            self, tmp_path):
+        entries = run_with_checkpoints(build(), 0, CheckpointPlan(100))
+        settled = build()
+        settled.run(0)
+        assert [entry["digest"] for entry in entries] \
+            == [settled.snapshot().digest]
+
+        spec = campaign_spec(SCENARIO, "none", seed=1, duration_us=0.0)
+        store = CheckpointStore(str(tmp_path / "ck"))
+        _, outcome = execute(spec, checkpoint=CheckpointPlan(100, store))
+        assert outcome.outcome != "crashed", outcome.detail
+        # a final end-of-run entry is always recorded, and persisted
+        assert [entry["cycle"] for entry in outcome.digests["entries"]] \
+            == [0]
+        assert outcome.digests["entries"] == store.digest_stream()
+        assert outcome.fingerprint() == execute(spec)[1].fingerprint()
+
+    def test_run_resumed_at_its_end_appends_nothing(self, tmp_path):
+        spec = campaign_spec(SCENARIO, "none", seed=1, duration_us=2.0)
+        store = CheckpointStore(str(tmp_path / "ck"))
+        _, first = execute(spec, checkpoint=CheckpointPlan(100, store))
+        stream = store.digest_stream()
+        system, resumed = execute(
+            spec, checkpoint=CheckpointPlan(100, store), resume=True)
+        assert system.sim.now == us(2)
+        assert store.digest_stream() == stream
+        assert resumed.digests["entries"] == stream
+        assert resumed.fingerprint() == first.fingerprint()
 
 
 class _TimeBomb:

@@ -4,7 +4,13 @@ disabled-telemetry guard."""
 import pytest
 
 from repro.kernel import Clock, MHz, Signal, Simulator, us
-from repro.telemetry import Telemetry, validate_chrome_trace
+from repro.telemetry import (
+    NULL_TRACER,
+    KernelTelemetry,
+    MetricsRegistry,
+    Telemetry,
+    validate_chrome_trace,
+)
 from repro.workloads import build_paper_testbench
 
 
@@ -141,17 +147,21 @@ class TestOverheadGuard:
         Its host-time cost is measured by the ``testbench-telemetry``
         workload of the repo benchmark (``perfbench/``), not here.
         """
-        from repro.kernel import SimulationProfiler
-
         def run(telemetry):
             system = build_paper_testbench(seed=1, telemetry=telemetry)
             installed = (system.sim.observer,
                          len(system.sim.processes),
                          system.monitor.fsm.tracer)
-            with SimulationProfiler(system.sim) as profiler:
-                system.run(us(10))
-            calls = {name: profile.activations
-                     for name, profile in profiler.profiles.items()}
+            # count per-process activations with a kernel observer of
+            # our own (attaching fails if the bundle left one behind)
+            registry = MetricsRegistry()
+            counter = KernelTelemetry(NULL_TRACER, registry)
+            system.sim.attach_observer(counter)
+            system.run(us(10))
+            system.sim.detach_observer(counter)
+            calls = registry.snapshot()["counters"][
+                "sim_process_activations_total"]["series"]
+            assert calls
             return installed, system.sim.delta_count, calls
 
         baseline = run(None)
