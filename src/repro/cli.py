@@ -21,7 +21,7 @@
     python -m repro.cli replay campaign.trace.json --shrink
     python -m repro.cli fuzz --corpus corpus/ --budget 1000 --seed 7 \\
         --jobs 4 --coverage-out coverage.json
-    python -m repro.cli telemetry --duration-us 20 \\
+    python -m repro.cli telemetry --duration-us 20 --engine compiled \\
         --trace-out trace.json --json metrics.json
 
 Every command prints human-readable tables; ``--json`` additionally
@@ -343,8 +343,27 @@ def _cmd_telemetry(args):
         system = build_paper_testbench(seed=args.seed,
                                        telemetry=telemetry)
         label = "paper testbench (Table 1 configuration)"
+    engine = fallback_reason = None
+    if args.engine != "interpreted":
+        from .compiled import CompileError, compile_system
+        try:
+            engine = compile_system(system)
+        except CompileError as exc:
+            if args.engine == "compiled":
+                print("telemetry: %s: %s" % (type(exc).__name__, exc),
+                      file=sys.stderr)
+                return 1
+            fallback_reason = "%s: %s" % (type(exc).__name__, exc)
     system.run(us(args.duration_us))
     telemetry.finalize()
+    if engine is not None and engine.runs_declined:
+        fallback_reason = engine.fallback_reason
+        engine = None
+    print("engine: requested %s, used %s%s"
+          % (args.engine, "interpreted" if engine is None else "compiled",
+             " (fallback: %s)" % fallback_reason
+             if fallback_reason else ""),
+          file=sys.stderr)
 
     print("telemetry: %s, %.1f us simulated, %d trace events%s"
           % (label, args.duration_us, len(telemetry.tracer),
@@ -738,6 +757,11 @@ def build_parser():
     telemetry_parser.add_argument("--seed", type=int, default=1)
     telemetry_parser.add_argument("--duration-us", type=float,
                                   default=20.0)
+    telemetry_parser.add_argument(
+        "--engine", choices=("interpreted", "compiled", "auto"),
+        default="interpreted",
+        help="kernel engine, as for faults; the engine actually used "
+             "and any fallback reason are printed")
     telemetry_parser.add_argument(
         "--trace-out", metavar="PATH",
         help="write Chrome trace-event JSON (open in "

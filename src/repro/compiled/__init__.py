@@ -19,7 +19,10 @@ straight-line edge code at elaboration time:
    bit-identical to the interpreted kernel — checkpoints, replay
    digests and energy ledgers match byte for byte.  Anything it cannot
    prove safe falls back to the interpreted loop, loudly via
-   :attr:`CompiledEngine.fallback_reason`.
+   :attr:`CompiledEngine.fallback_reason`.  A kernel observer
+   (:class:`~repro.telemetry.KernelTelemetry`) is not such a case:
+   while one is attached, edges take the engine's generic path, which
+   reports every process activation and settled time step to it.
 
 The engine knows nothing about power analysis.  The global power
 monitor's clock process records one row per cycle and replays the rows

@@ -13,24 +13,34 @@ firing order, ``ProcessError`` attribution, torn state after an error,
 resumable state after :meth:`Simulator.stop` — matches the interpreted
 loop exactly, so snapshots, replay digests and energy ledgers are
 byte-identical between engines.  Anything the compiled model cannot
-prove it handles (an observer, foreign timed activity, waiter lists
-that changed since compile, dynamic waits on the clock) makes ``run``
-*decline* — the interpreted kernel then executes the call — or, for
-activity appearing mid-run, hand the remainder of the run to
+prove it handles (foreign timed activity, waiter lists that changed
+since compile, dynamic waits on the clock) makes ``run`` *decline* —
+the interpreted kernel then executes the call — or, for activity
+appearing mid-run, hand the remainder of the run to
 :meth:`Simulator._run_interpreted` after restoring the timed queue.
+
+A kernel observer does not make it decline.  While one is attached,
+every edge takes the generic path (:meth:`CompiledEngine._generic_edge`
+→ :meth:`CompiledEngine._settle_rounds`), which times each process
+activation like the interpreted ``_settle_deltas`` does, reports the
+clock write as the clock driver's activation and calls ``on_settle``
+once per time step.
 
 The only deliberate deviation: a combinational process appended twice
 to the same delta round (two of its inputs changed in the previous
 round) is evaluated once.  Combinational processes are pure committed
 read → staged write functions, so the duplicate evaluation stages the
 same values and the round structure — hence ``delta_count`` — is
-unchanged; the equivalence suite enforces this.
+unchanged; the equivalence suite enforces this.  An observer sees
+the deduplicated activations, so combinational processes may count
+fewer activations compiled than interpreted.
 """
 
 from __future__ import annotations
 
 import heapq
 import time as _time
+from functools import partial
 
 from ..kernel.errors import (
     DeltaCycleLimitError,
@@ -165,8 +175,6 @@ class CompiledEngine:
             return "until=None (run to event starvation)"
         if max_time_steps is not None:
             return "max_time_steps requested"
-        if sim._observer is not None:
-            return "kernel observer attached"
         if sim.max_delta_cycles < 4:
             return "max_delta_cycles too small for edge rounds"
         if len(sim._processes) != self._n_processes:
@@ -232,7 +240,11 @@ class CompiledEngine:
         timed.clear()
         clock = domain.clock
         signal = clock.signal
-        rising, falling = self._edges[clock]
+        if sim._observer is None:
+            rising, falling = self._edges[clock]
+        else:
+            rising = partial(self._generic_edge, domain, 1)
+            falling = partial(self._generic_edge, domain, 0)
         high, low = clock.high_time, clock.low_time
         monotonic = _time.monotonic
         edge_time = entry_time
@@ -322,12 +334,11 @@ class CompiledEngine:
                     if row[5]:
                         row[0] = step_time + clock.low_time
                         row[5] = False
-                        clock.signal.write(0)
+                        self._drive(sim, domain, 0)
                     else:
                         row[0] = step_time + clock.high_time
                         row[5] = True
-                        clock.signal.write(1)
-                        clock.cycles += 1
+                        self._drive(sim, domain, 1)
                 stopped = self._settle_rounds(sim, 1)
                 if stopped:
                     break
@@ -381,10 +392,23 @@ class CompiledEngine:
         clock wire, a stale level, level-sensitive clock logic)."""
         sim = self.sim
         sim.delta_count += 1
-        domain.clock.signal.write(level)
-        if level:
-            domain.clock.cycles += 1
+        self._drive(sim, domain, level)
         return self._settle_rounds(sim, 1)
+
+    @staticmethod
+    def _drive(sim, domain, level):
+        """The clock driver's activation: write *level* to the clock
+        wire, reported to an attached observer as the driver's."""
+        clock = domain.clock
+        observer = sim._observer
+        if observer is not None:
+            started = _time.perf_counter()
+        clock.signal.write(level)
+        if level:
+            clock.cycles += 1
+        if observer is not None:
+            observer.on_process(domain.driver, sim.now,
+                                _time.perf_counter() - started)
 
     def _settle_rounds(self, sim, deltas):
         """Run delta rounds until quiescent, starting with the commit
@@ -393,8 +417,11 @@ class CompiledEngine:
         Mirrors ``Simulator._settle_deltas`` — same ``delta_count``
         accounting, stop semantics (pending processes stay in
         ``sim._runnable``), error torn-state and delta-cycle limit —
-        with per-round deduplication of combinational processes.
+        with per-round deduplication of combinational processes, and
+        the same observer reporting: each activation's host time, then
+        ``on_settle`` with the time step's delta count.
         Returns True when :meth:`Simulator.stop` was requested."""
+        observer = sim._observer
         comb_ids = self._comb_ids
         max_deltas = sim.max_delta_cycles
         spare = self._spare
@@ -414,13 +441,13 @@ class CompiledEngine:
                 runnable = sim._runnable
                 for event in fired:
                     event._fire(runnable)
-            if sim._stop_requested:
-                self._spare, self._uq_spare = spare, uq_spare
-                return True
+            stopped = sim._stop_requested
             current = sim._runnable
-            if not current:
+            if stopped or not current:
                 self._spare, self._uq_spare = spare, uq_spare
-                return False
+                if observer is not None:
+                    observer.on_settle(sim.now, deltas)
+                return stopped
             deltas += 1
             sim.delta_count += 1
             if deltas > max_deltas:
@@ -436,15 +463,31 @@ class CompiledEngine:
             seen = set()
             process = None
             try:
-                for process in current:
-                    pid = id(process)
-                    if pid in comb_ids:
-                        if pid in seen:
+                if observer is None:
+                    for process in current:
+                        pid = id(process)
+                        if pid in comb_ids:
+                            if pid in seen:
+                                continue
+                            seen.add(pid)
+                            process.fn()
+                        elif not process.terminated:
+                            process.fn()
+                else:
+                    now = sim.now
+                    perf_counter = _time.perf_counter
+                    for process in current:
+                        pid = id(process)
+                        if pid in comb_ids:
+                            if pid in seen:
+                                continue
+                            seen.add(pid)
+                        elif process.terminated:
                             continue
-                        seen.add(pid)
+                        started = perf_counter()
                         process.fn()
-                    elif not process.terminated:
-                        process.fn()
+                        observer.on_process(process, now,
+                                            perf_counter() - started)
             except (SimulationError, KeyboardInterrupt):
                 raise
             except Exception as exc:

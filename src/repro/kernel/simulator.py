@@ -180,9 +180,13 @@ class Simulator:
         The observer receives ``on_process(process, now, seconds)``
         after every process activation (*seconds* is host wall-clock
         time spent inside the process) and ``on_settle(now, deltas)``
-        after each time step that executed at least one delta cycle.
-        The scheduler only pays the timing overhead while an observer
-        is attached; with none, the hot loop is branch-identical to an
+        after each time step that executed at least one delta cycle,
+        on either scheduler.  An observer that defines ``on_run_end()``
+        has it called whenever a :meth:`run` call returns or raises,
+        after the :meth:`at_run_end` callbacks; observers that buffer
+        activations bring their results up to date there.  The
+        scheduler only pays the timing overhead while an observer is
+        attached; with none, the hot loop is branch-identical to an
         unobserved kernel.
         """
         if self._observer is not None:
@@ -466,6 +470,10 @@ class Simulator:
                     callback()
                     observer.on_process(process, self.now,
                                         _time.perf_counter() - started)
+            if observer is not None:
+                run_end = getattr(observer, "on_run_end", None)
+                if run_end is not None:
+                    run_end()
 
     def _run_interpreted(self, until, max_time_steps, wall_clock_budget,
                          wall_start=None):

@@ -4,9 +4,10 @@ Three instrumentation layers, each strictly observe-only:
 
 * :class:`KernelTelemetry` — a kernel observer (see
   :meth:`repro.kernel.Simulator.attach_observer`): per-process
-  activation spans with wall-clock durations, delta-cycles-per-step
-  statistics, delta-storm markers, and optional per-signal commit
-  markers;
+  activation spans with wall-clock durations, recorded as one row of
+  plain numbers per activation and folded at the end of every run;
+  delta-cycles-per-step statistics, delta-storm markers, and optional
+  per-signal commit markers;
 * :class:`BusTelemetry` — a clocked module deriving each master's
   transaction lifecycle (request → grant → address/data → response)
   from the committed bus signals, plus arbiter tenure spans,
@@ -24,6 +25,11 @@ PR-3 code path, which is the runtime analogue of compiling the paper's
 
 from __future__ import annotations
 
+from array import array
+from time import perf_counter_ns as _perf_counter_ns
+
+import numpy as np
+
 from ..amba.types import HRESP, HTRANS
 from ..kernel import Module
 from .registry import (
@@ -36,6 +42,10 @@ from .tracing import NULL_TRACER, Tracer
 #: Delta cycles within one time step beyond which the kernel observer
 #: flags a "delta-storm" (zero-delay feedback churn worth seeing).
 STORM_THRESHOLD = 100
+
+#: Recorded activation rows that make the kernel observer fold
+#: mid-run, so one long ``run`` call holds a bounded record.
+FOLD_ROWS = 1 << 16
 
 _DELTA_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
                   512.0)
@@ -53,7 +63,13 @@ class KernelTelemetry:
 
     Installed via ``sim.attach_observer(kernel_telemetry)``; the
     simulator only pays for instrumentation while an observer is
-    attached.
+    attached.  Each activation appends one row — process index,
+    simulated time, wall-clock end, duration — to typed ``array``
+    columns and allocates nothing else.  When a ``run`` call ends
+    (:meth:`on_run_end`), and after any time step that leaves
+    :data:`FOLD_ROWS` rows recorded, the rows are folded into the
+    per-process counters and handed to the tracer as one span block,
+    so the registry is current whenever ``run`` returns.
     """
 
     def __init__(self, tracer, registry, storm_threshold=STORM_THRESHOLD):
@@ -61,16 +77,18 @@ class KernelTelemetry:
         self.registry = registry
         self.storm_threshold = storm_threshold
         self._scheduler = tracer.track("kernel", "scheduler")
-        self._process_state = {}
-        activations = registry.counter(
+        #: process -> row index; names and counter children by index
+        self._index = {}
+        self._names = []
+        self._children = []
+        self._new_rows()
+        self._activations_metric = registry.counter(
             "sim_process_activations_total",
             "Process activations", labelnames=("process",))
-        seconds = registry.counter(
+        self._seconds_metric = registry.counter(
             "sim_process_seconds_total",
             "Wall-clock seconds inside each process",
             labelnames=("process",))
-        self._activations_metric = activations
-        self._seconds_metric = seconds
         self._steps = registry.counter(
             "sim_time_steps_total", "Distinct time points processed")
         self._deltas = registry.counter(
@@ -85,27 +103,57 @@ class KernelTelemetry:
             "sim_signal_commits_total", "Watched signal commits",
             labelnames=("signal",))
 
-    def _state_for(self, process):
+    def _new_rows(self):
+        self._rows_process = array("i")
+        self._rows_now = array("q")
+        self._rows_wall = array("q")
+        self._rows_seconds = array("d")
+
+    def _register(self, process):
         name = process.name
-        state = self._process_state.get(name)
-        if state is None:
-            state = (
-                self.tracer.track("kernel", name),
-                self._activations_metric.labels(process=name),
-                self._seconds_metric.labels(process=name),
-            )
-            self._process_state[name] = state
-        return state
+        index = self._index[process] = len(self._names)
+        self._names.append(name)
+        self._children.append((
+            self._activations_metric.labels(process=name),
+            self._seconds_metric.labels(process=name)))
+        return index
 
     # -- Simulator observer interface -----------------------------------
 
     def on_process(self, process, now, seconds):
         """One process activation took *seconds* of host time."""
-        track, activations, total_seconds = self._state_for(process)
-        activations.inc()
-        total_seconds.inc(seconds)
-        track.begin(process.name, now, cat="kernel.process")
-        track.end(now, args={"wall_us": seconds * 1e6})
+        index = self._index.get(process)
+        if index is None:
+            index = self._register(process)
+        self._rows_process.append(index)
+        self._rows_now.append(now)
+        self._rows_wall.append(_perf_counter_ns())
+        self._rows_seconds.append(seconds)
+
+    def on_run_end(self):
+        """A ``run`` call returned or raised: fold the rows."""
+        self._fold()
+
+    def _fold(self):
+        """Fold the recorded rows into the counters and hand them to
+        the tracer as kernel spans."""
+        rows = self._rows_process
+        if not rows:
+            return
+        index = np.frombuffer(rows, dtype=rows.typecode)
+        size = len(self._names)
+        counts = np.bincount(index, minlength=size)
+        seconds = np.bincount(
+            index, minlength=size,
+            weights=np.frombuffer(self._rows_seconds, dtype="d"))
+        for row in np.flatnonzero(counts).tolist():
+            activations, total_seconds = self._children[row]
+            activations.inc(int(counts[row]))
+            total_seconds.inc(float(seconds[row]))
+        self.tracer.add_spans("kernel", self._names, rows,
+                              self._rows_now, self._rows_wall,
+                              self._rows_seconds, cat="kernel.process")
+        self._new_rows()
 
     def on_settle(self, now, deltas):
         """One time step settled after *deltas* delta cycles."""
@@ -117,6 +165,8 @@ class KernelTelemetry:
             self._scheduler.instant("delta-storm", now,
                                     cat="kernel.storm",
                                     args={"deltas": deltas})
+        if len(self._rows_process) >= FOLD_ROWS:
+            self._fold()
 
     # -- optional signal-commit hooks -----------------------------------
 

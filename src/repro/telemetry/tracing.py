@@ -7,6 +7,11 @@ wall-clock time (nanoseconds since the tracer was created), so the same
 recording can be rendered as a simulated-time timeline (bus and power
 behaviour) or a wall-clock profile (where the host CPU went).
 
+Kernel process activations, the bulk of a full trace, are not emitted
+event by event: :meth:`Tracer.add_spans` takes them over as a block of
+columns (one row of plain numbers per span) and they are expanded into
+``B``/``E`` events only when the trace is read or exported.
+
 Export formats:
 
 * :meth:`Tracer.write_chrome` — Chrome trace-event JSON, loadable in
@@ -21,8 +26,12 @@ the structural invariants (valid JSON, non-decreasing ``ts``, every
 
 from __future__ import annotations
 
+import heapq
 import json
 import time as _time
+from operator import attrgetter
+
+_BY_SIM_TIME = attrgetter("ts_ps")
 
 
 class TraceEvent:
@@ -50,26 +59,39 @@ class TraceEvent:
 class Track:
     """One (process, thread) lane of a tracer."""
 
-    __slots__ = ("tracer", "pid", "tid", "_open")
+    __slots__ = ("tracer", "pid", "tid", "_open", "_kept")
 
     def __init__(self, tracer, pid, tid):
         self.tracer = tracer
         self.pid = pid
         self.tid = tid
         self._open = []  # names of open spans (for finish/validation)
+        # The bottom ``_kept`` open spans had their B stored; spans
+        # opened once the tracer was full (it never frees room) lost
+        # theirs, so their E is dropped as well.
+        self._kept = 0
 
     def begin(self, name, ts_ps, cat="span", args=None):
         """Open a span at simulated time *ts_ps*."""
         self._open.append(name)
-        self.tracer._emit("B", self, name, ts_ps, cat, args)
+        if self.tracer._emit("B", self, name, ts_ps, cat, args):
+            self._kept += 1
 
     def end(self, ts_ps, args=None):
         """Close the innermost open span."""
         if not self._open:
             raise ValueError(
                 "no open span on %s/%s" % (self.pid, self.tid))
+        self._close(ts_ps, args)
+
+    def _close(self, ts_ps, args):
         name = self._open.pop()
-        self.tracer._emit("E", self, name, ts_ps, "span", args)
+        if len(self._open) < self._kept:
+            # past the cap if need be: a stored B keeps its E
+            self._kept -= 1
+            self.tracer._append("E", self, name, ts_ps, "span", args)
+        else:
+            self.tracer.dropped += 1
 
     def instant(self, name, ts_ps, cat="instant", args=None):
         """A zero-duration marker."""
@@ -115,16 +137,23 @@ class Tracer:
     Parameters
     ----------
     max_events:
-        Hard cap on buffered events; once reached, further events are
-        counted in :attr:`dropped` instead of stored (the trace stays
-        structurally valid because open spans are force-closed by
-        :meth:`finish`).
+        Cap on stored events; once reached, further events are counted
+        in :attr:`dropped` instead of stored.  The trace stays
+        structurally valid: a span whose ``B`` was stored keeps its
+        ``E`` past the cap (so :func:`len` can exceed the cap by the
+        spans open at that point), a span whose ``B`` was dropped
+        drops its ``E`` too, and span blocks are taken whole spans at
+        a time.  A pending span counts as two events.
     """
 
     enabled = True
 
     def __init__(self, max_events=2_000_000):
-        self.events = []
+        self._events = []
+        #: Span blocks taken over by :meth:`add_spans`, as columns.
+        self._spans = []
+        #: Events held: emitted events plus two per pending span.
+        self._stored = 0
         self.max_events = max_events
         self.dropped = 0
         self._tracks = {}
@@ -143,36 +172,84 @@ class Tracer:
         return track
 
     def _emit(self, phase, track, name, ts_ps, cat, args):
-        if len(self.events) >= self.max_events:
+        """Store one event unless the cap is reached; True if stored."""
+        if self._stored >= self.max_events:
             self.dropped += 1
-            return
-        self.events.append(TraceEvent(
+            return False
+        self._append(phase, track, name, ts_ps, cat, args)
+        return True
+
+    def _append(self, phase, track, name, ts_ps, cat, args):
+        self._stored += 1
+        self._events.append(TraceEvent(
             int(ts_ps), self.wall_now_ns(), phase, track.pid,
             track.tid, name, cat, args))
+
+    def add_spans(self, pid, names, index, ts_ps, wall_end_ns, seconds,
+                  cat="span"):
+        """Take over a block of closed spans, one per row of columns.
+
+        Row *k* is a span on track ``(pid, names[index[k]])`` named
+        after its track, zero-width at simulated time ``ts_ps[k]``,
+        that ended at the ``time.perf_counter_ns()`` reading
+        ``wall_end_ns[k]`` after ``seconds[k]`` of host time.  The
+        columns are kept as they are (sequences of plain numbers; the
+        caller must not change them afterwards) and expanded into
+        ``B``/``E`` events only when the trace is read or exported.
+        Spans beyond the cap are dropped whole, the latest first.
+        """
+        count = len(index)
+        room = max(0, (self.max_events - self._stored) // 2)
+        if count > room:
+            self.dropped += 2 * (count - room)
+            count = room
+            index, ts_ps = index[:count], ts_ps[:count]
+            wall_end_ns, seconds = wall_end_ns[:count], seconds[:count]
+        if count:
+            self._spans.append((pid, tuple(names), index, ts_ps,
+                                wall_end_ns, seconds, cat))
+            self._stored += 2 * count
+
+    def _span_events(self):
+        """Expand the pending span blocks, in recording order."""
+        wall_start = self._wall_start
+        for pid, names, index, ts_ps, wall_end_ns, seconds, cat \
+                in self._spans:
+            for row, ts, end, span_s in zip(index, ts_ps, wall_end_ns,
+                                            seconds):
+                name = names[row]
+                end -= wall_start
+                yield TraceEvent(ts, end - round(span_s * 1e9), "B",
+                                 pid, name, name, cat, None)
+                yield TraceEvent(ts, end, "E", pid, name, name, "span",
+                                 {"wall_us": span_s * 1e6})
+
+    def _iter_events(self):
+        if not self._spans:
+            return iter(self._events)
+        return heapq.merge(self._events, self._span_events(),
+                           key=_BY_SIM_TIME)
+
+    @property
+    def events(self):
+        """Every stored event as a fresh list of :class:`TraceEvent`.
+
+        Emitted events and expanded span blocks are merged by
+        simulated time; each track keeps its own order, while events
+        of different tracks at one instant may interleave differently
+        from the order they were recorded in."""
+        return list(self._iter_events())
 
     def finish(self, ts_ps):
         """Force-close every open span at *ts_ps* (end of run)."""
         for track in self._tracks.values():
-            while track.open_spans:
-                # bypass the max_events cap: structural integrity of
-                # already-recorded B events beats completeness
-                name = track._open.pop()
-                self.events.append(TraceEvent(
-                    int(ts_ps), self.wall_now_ns(), "E", track.pid,
-                    track.tid, name, "span", None))
+            while track._open:
+                track._close(ts_ps, None)
 
     def __len__(self):
-        return len(self.events)
+        return self._stored
 
     # -- export ---------------------------------------------------------
-
-    def _ids(self):
-        """Stable numeric pid/tid assignment in first-use order."""
-        pids, tids = {}, {}
-        for event in self.events:
-            pids.setdefault(event.pid, len(pids) + 1)
-            tids.setdefault((event.pid, event.tid), len(tids) + 1)
-        return pids, tids
 
     def chrome_events(self, timebase="sim"):
         """The trace as a list of Chrome trace-event dicts.
@@ -185,26 +262,26 @@ class Tracer:
         """
         if timebase not in ("sim", "wall"):
             raise ValueError("timebase must be 'sim' or 'wall'")
-        pids, tids = self._ids()
-        out = []
-        for name, pid in pids.items():
-            out.append({"name": "process_name", "ph": "M", "pid": pid,
-                        "tid": 0, "args": {"name": name}})
-        for (pid_name, tid_name), tid in tids.items():
-            out.append({"name": "thread_name", "ph": "M",
-                        "pid": pids[pid_name], "tid": tid,
-                        "args": {"name": tid_name}})
+        sim_time = timebase == "sim"
+        # numeric pid/tid assignment in first-use order
+        pids, tids = {}, {}
         records = []
-        for event in self.events:
-            ts = (event.ts_ps / 1e6 if timebase == "sim"
-                  else event.wall_ns / 1e3)
+        for event in self._iter_events():
+            pid = pids.get(event.pid)
+            if pid is None:
+                pid = pids[event.pid] = len(pids) + 1
+            key = (event.pid, event.tid)
+            tid = tids.get(key)
+            if tid is None:
+                tid = tids[key] = len(tids) + 1
             record = {
                 "name": event.name,
                 "cat": event.cat,
                 "ph": event.phase,
-                "ts": ts,
-                "pid": pids[event.pid],
-                "tid": tids[(event.pid, event.tid)],
+                "ts": (event.ts_ps / 1e6 if sim_time
+                       else event.wall_ns / 1e3),
+                "pid": pid,
+                "tid": tid,
             }
             if event.phase == "i":
                 record["s"] = "t"  # thread-scoped instant
@@ -213,9 +290,17 @@ class Tracer:
             elif event.phase == "C":
                 record["args"] = {}
             records.append(record)
+        out = []
+        for name, pid in pids.items():
+            out.append({"name": "process_name", "ph": "M", "pid": pid,
+                        "tid": 0, "args": {"name": name}})
+        for (pid_name, tid_name), tid in tids.items():
+            out.append({"name": "thread_name", "ph": "M",
+                        "pid": pids[pid_name], "tid": tid,
+                        "args": {"name": tid_name}})
         # Chrome/Perfetto want non-decreasing timestamps; Python's sort
-        # is stable, so same-ts events keep emission order and B/E
-        # nesting per track survives.
+        # is stable, so same-ts events keep their order in ``events``
+        # and B/E nesting per track survives.
         records.sort(key=lambda record: record["ts"])
         return out + records
 
@@ -230,14 +315,16 @@ class Tracer:
                 "dropped_events": self.dropped,
             },
         }
+        # one C-encoded string: json.dump would encode in pure Python
+        text = json.dumps(payload)
         with open(path, "w") as fh:
-            json.dump(payload, fh)
+            fh.write(text)
         return path
 
     def write_jsonl(self, path):
         """Write the compact one-object-per-line stream to *path*."""
         with open(path, "w") as fh:
-            for event in self.events:
+            for event in self._iter_events():
                 record = {"ts_ps": event.ts_ps,
                           "wall_ns": event.wall_ns,
                           "ph": event.phase, "pid": event.pid,
@@ -261,6 +348,10 @@ class NullTracer:
 
     def wall_now_ns(self):
         return 0
+
+    def add_spans(self, pid, names, index, ts_ps, wall_end_ns, seconds,
+                  cat="span"):
+        pass
 
     def finish(self, ts_ps):
         pass

@@ -15,6 +15,7 @@ from repro.analysis.export import (
 from repro.cli import EXPERIMENTS, build_parser, main
 from repro.kernel import us
 from repro.power import EnergyLedger, TraceSet
+from repro.telemetry import validate_chrome_trace
 
 
 class TestExportLedger:
@@ -102,6 +103,18 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["cycles"] == 500
         assert payload["protocol_violations"] == 0
+
+    @pytest.mark.parametrize("engine", ["interpreted", "compiled"])
+    def test_telemetry_reports_the_engine_used(self, engine, capsys,
+                                               tmp_path):
+        trace = str(tmp_path / "trace.json")
+        code = main(["telemetry", "--duration-us", "2", "--engine",
+                     engine, "--trace-out", trace])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "engine: requested %s, used %s\n" % (engine, engine) \
+            in err
+        assert validate_chrome_trace(trace) == []
 
     def test_parser_requires_command(self):
         parser = build_parser()

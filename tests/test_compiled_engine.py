@@ -191,25 +191,77 @@ class TestMultiClock:
         assert mixed.value == reference[5].value
 
 
-class TestEngineFallback:
-    def test_observer_declines_to_interpreter(self):
+class _CountingObserver:
+    """Kernel observer recording activations per process and every
+    ``on_settle`` call."""
+
+    def __init__(self):
+        self.activations = {}
+        self.settles = []
+
+    def on_process(self, process, now, seconds):
+        assert seconds >= 0.0
+        self.activations[process.name] = (
+            self.activations.get(process.name, 0) + 1)
+
+    def on_settle(self, now, deltas):
+        self.settles.append((now, deltas))
+
+
+def _observed(sim, until, engine=None):
+    observer = _CountingObserver()
+    sim.attach_observer(observer)
+    sim.run(until=until)
+    if engine is not None:
+        assert engine.runs_compiled == 1, engine.fallback_reason
+        assert engine.runs_declined == 0
+    return observer
+
+
+class TestObservedRuns:
+    """An attached kernel observer keeps the compiled engine: the run
+    and every per-step report match the interpreted kernel, and only
+    deduplicated combinational activations may be fewer."""
+
+    def test_observer_runs_compiled_with_same_results(self):
+        ref_sim, _, ref_count, ref_decoded = _counter_design()
+        reference = _observed(ref_sim, us(1))
+
         sim, clk, count, decoded = _counter_design()
         engine = compile_simulator(sim, [clk])
+        observer = _observed(sim, us(1), engine)
+        assert count.value == ref_count.value == 100
+        assert decoded.value == ref_decoded.value
+        assert sim.delta_count == ref_sim.delta_count
+        assert observer.settles == reference.settles
+        for name in ("clk.driver", "tick"):
+            assert observer.activations[name] \
+                == reference.activations[name]
+        assert observer.activations["decode"] \
+            <= reference.activations["decode"]
 
-        class Observer:
-            def on_process(self, process, now, seconds):
-                pass
+    def test_observer_on_two_domains(self):
+        # coincident edges: one time step, one on_settle for both clocks
+        ref = _build_two_domain(10, 20)
+        reference = _observed(ref[0], us(1))
 
-            def on_settle(self, now, deltas):
-                pass
+        sim, clk_a, clk_b, count_a, count_b, mixed = _build_two_domain(
+            10, 20)
+        engine = compile_simulator(sim, [clk_a, clk_b])
+        observer = _observed(sim, us(1), engine)
+        assert (count_a.value, count_b.value, mixed.value) == (
+            ref[3].value, ref[4].value, ref[5].value)
+        assert sim.delta_count == ref[0].delta_count
+        assert observer.settles == reference.settles
+        for name in ("clk_a.driver", "clk_b.driver", "tick_a",
+                     "tick_b"):
+            assert observer.activations[name] \
+                == reference.activations[name]
+        assert observer.activations["mix"] \
+            <= reference.activations["mix"]
 
-        sim.attach_observer(Observer())
-        sim.run(until=us(1))
-        assert engine.runs_compiled == 0
-        assert engine.runs_declined == 1
-        assert "observer" in engine.fallback_reason
-        assert count.value == 100     # still ran, interpreted
 
+class TestEngineFallback:
     def test_late_process_registration_declines(self):
         sim, clk, count, decoded = _counter_design()
         engine = compile_simulator(sim, [clk])

@@ -19,6 +19,7 @@ from repro.compiled import compile_system
 from repro.kernel import us
 from repro.replay import FaultEntry, campaign_spec, execute
 from repro.state import CheckpointPlan
+from repro.telemetry import Telemetry
 from repro.workloads import build_paper_testbench
 
 DURATION_US = 20          # 2000 cycles at 100 MHz — enough to split,
@@ -108,6 +109,61 @@ class TestPaperTestbenchIdentity:
         assert replayed == [1] * (DURATION_US * 100)
         assert c_digest == digest
         assert c_ledger == ledger
+
+
+def _run_telemetry(compiled):
+    """Paper testbench with the full telemetry bundle, in two ``run``
+    calls; returns ``(system, telemetry, engine)``."""
+    reset_txn_ids()
+    telemetry = Telemetry()
+    system = build_paper_testbench(seed=1, telemetry=telemetry)
+    engine = compile_system(system) if compiled else None
+    system.run(us(DURATION_US / 2))
+    system.run(us(DURATION_US / 2))
+    telemetry.finalize()
+    return system, telemetry, engine
+
+
+class TestTelemetryAttachedIdentity:
+    """The kernel observer keeps the compiled engine and changes no
+    result; only deduplicated combinational activations may count
+    fewer (docs/OBSERVABILITY.md)."""
+
+    def test_compiled_matches_interpreted_with_telemetry(self):
+        system, telemetry, _ = _run_telemetry(False)
+        c_system, c_telemetry, engine = _run_telemetry(True)
+        assert (engine.runs_compiled, engine.runs_declined) == (2, 0)
+        assert engine.fallback_reason is None
+
+        assert c_system.snapshot().digest == system.snapshot().digest
+        assert c_system.ledger.state_dict() == system.ledger.state_dict()
+        assert c_system.sim.delta_count == system.sim.delta_count
+
+        snapshot = telemetry.snapshot()
+        c_snapshot = c_telemetry.snapshot()
+        for name in ("sim_time_steps_total", "sim_delta_cycles_total"):
+            assert c_snapshot["counters"][name] \
+                == snapshot["counters"][name]
+        assert c_snapshot["histograms"]["sim_deltas_per_step"] \
+            == snapshot["histograms"]["sim_deltas_per_step"]
+
+        activations = snapshot["counters"][
+            "sim_process_activations_total"]["series"]
+        c_activations = c_snapshot["counters"][
+            "sim_process_activations_total"]["series"]
+        assert set(c_activations) == set(activations)
+        comb = {info.name for info in engine.graph.comb}
+        sequential = {info.name for domain in engine.graph.domains
+                      for info in domain.seq_pos + domain.seq_neg}
+        sequential.add("clk.driver")
+        assert comb and len(sequential) > 10
+        for key, count in activations.items():
+            name = key.split("=", 1)[1]
+            if name in comb:
+                assert c_activations[key] <= count, name
+            else:
+                assert name in sequential, name
+                assert c_activations[key] == count, name
 
 
 class TestReplayEngineIdentity:

@@ -184,7 +184,25 @@ class TestEngineActual:
         assert outcome.fallback_reason.startswith("CompileError: ")
         assert "refused for the test" in outcome.fallback_reason
 
-    def test_run_time_decline_is_recorded(self):
+    def test_run_time_decline_is_recorded(self, monkeypatch):
+        compile_system = compiled_mod.compile_system
+
+        def compile_then_register(system, install=True):
+            # an inert process registered after compile: the engine
+            # declines when the run starts
+            engine = compile_system(system, install=install)
+            system.sim.add_method(lambda: None, [], name="late",
+                                  initialize=False)
+            return engine
+
+        monkeypatch.setattr(compiled_mod, "compile_system",
+                            compile_then_register)
+        _, outcome = execute(self.spec(engine="compiled"))
+        assert outcome.outcome == "completed"
+        assert outcome.engine_actual == "interpreted"
+        assert "registered since compile" in outcome.fallback_reason
+
+    def test_observer_keeps_the_compiled_engine(self):
         class Observer:
             def on_process(self, process, now, seconds):
                 pass
@@ -196,8 +214,8 @@ class TestEngineActual:
             self.spec(engine="compiled"),
             instrument=lambda system: system.sim.attach_observer(
                 Observer()))
-        assert outcome.engine_actual == "interpreted"
-        assert "observer" in outcome.fallback_reason
+        assert (outcome.engine_actual,
+                outcome.fallback_reason) == ("compiled", None)
 
     def test_tlm_tier(self):
         _, outcome = execute(self.spec(tier="tlm"))

@@ -3,12 +3,14 @@ disabled-telemetry guard."""
 
 import pytest
 
+from repro.compiled import compile_system
 from repro.kernel import Clock, MHz, Signal, Simulator, us
 from repro.telemetry import (
     NULL_TRACER,
     KernelTelemetry,
     MetricsRegistry,
     Telemetry,
+    Tracer,
     validate_chrome_trace,
 )
 from repro.workloads import build_paper_testbench
@@ -64,6 +66,82 @@ class TestKernelObserver:
         assert seen["processes"] >= 100
         assert seen["settles"] >= 100
         assert seen["deltas"] >= seen["settles"]
+
+
+class _DurationSpy(KernelTelemetry):
+    """Kernel telemetry that also keeps every duration it was given,
+    per process name, in activation order."""
+
+    def __init__(self, tracer, registry):
+        super().__init__(tracer, registry)
+        self.durations = {}
+
+    def on_process(self, process, now, seconds):
+        self.durations.setdefault(process.name, []).append(seconds)
+        super().on_process(process, now, seconds)
+
+
+class TestKernelRecord:
+    def spied_run(self, engine=None):
+        tracer = Tracer()
+        system = build_paper_testbench(seed=3)
+        spy = _DurationSpy(tracer, MetricsRegistry())
+        system.sim.attach_observer(spy)
+        if engine == "compiled":
+            compile_system(system)
+        for _ in range(2):
+            system.run(us(2))
+        return spy, tracer
+
+    def test_wall_span_width_is_the_recorded_duration(self):
+        spy, tracer = self.spied_run()
+        spans = {}
+        opened = {}
+        for event in tracer.events:
+            if event.pid != "kernel" or event.tid == "scheduler":
+                continue
+            if event.phase == "B":
+                assert event.cat == "kernel.process"
+                opened[event.tid] = event
+            else:
+                begin = opened.pop(event.tid)
+                spans.setdefault(event.tid, []).append(
+                    (event.wall_ns - begin.wall_ns,
+                     event.args["wall_us"]))
+        assert not opened
+        assert set(spans) == set(spy.durations)
+        for name, seconds in spy.durations.items():
+            assert [width for width, _ in spans[name]] \
+                == [round(value * 1e9) for value in seconds]
+            assert [wall_us for _, wall_us in spans[name]] \
+                == [value * 1e6 for value in seconds]
+
+    def test_counters_current_after_every_run(self):
+        registry = MetricsRegistry()
+        tracer = Tracer()
+        system = build_paper_testbench(seed=3)
+        spy = _DurationSpy(tracer, registry)
+        system.sim.attach_observer(spy)
+        for _ in range(2):
+            system.run(us(1))
+            series = registry.snapshot()["counters"][
+                "sim_process_activations_total"]["series"]
+            assert series == {
+                "process=%s" % name: float(len(values))
+                for name, values in spy.durations.items()}
+            activations = sum(len(values)
+                              for values in spy.durations.values())
+            assert len(tracer) == 2 * activations
+
+    def test_compiled_engine_records_the_same_sequential_activations(
+            self):
+        interpreted, _ = self.spied_run()
+        compiled, _ = self.spied_run("compiled")
+        assert set(compiled.durations) == set(interpreted.durations)
+        for name in ("clk.driver", "master0.fsm", "checker.check",
+                     "power_monitor.monitor"):
+            assert len(compiled.durations[name]) \
+                == len(interpreted.durations[name])
 
 
 class TestSystemInstrumentation:

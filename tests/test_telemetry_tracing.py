@@ -58,11 +58,103 @@ class TestTracks:
         assert len(tracer) == 2
         assert tracer.dropped == 3
 
+    def test_cap_keeps_spans_whole(self, tmp_path):
+        tracer = Tracer(max_events=3)
+        outer = tracer.track("p", "outer")
+        inner = tracer.track("p", "inner")
+        outer.begin("kept", 0)          # stored
+        inner.begin("kept", 1)          # stored
+        outer.instant("full", 2)        # stored: the cap is reached
+        inner.end(3)                    # B stored: E kept past the cap
+        inner.begin("lost", 4)          # dropped
+        inner.end(5)                    # B dropped: E dropped too
+        outer.begin("open", 6)          # dropped
+        tracer.finish(7)                # closes "kept", drops "open"
+        assert len(tracer) == 5
+        assert tracer.dropped == 4
+        assert [(event.tid, event.phase, event.name)
+                for event in tracer.events] == [
+            ("outer", "B", "kept"), ("inner", "B", "kept"),
+            ("outer", "i", "full"), ("inner", "E", "kept"),
+            ("outer", "E", "kept")]
+        path = tracer.write_chrome(str(tmp_path / "capped.json"))
+        assert validate_chrome_trace(path) == []
+
     def test_dual_timebase_recorded(self):
         tracer = sample_tracer()
         for event in tracer.events:
             assert event.wall_ns >= 0
             assert isinstance(event.ts_ps, int)
+
+
+def span_block_tracer(max_events=2_000_000):
+    """A tracer holding one bus span and a block of three kernel
+    spans on two tracks, handed over as columns."""
+    tracer = Tracer(max_events=max_events)
+    track = tracer.track("bus", "master0")
+    track.begin("transfer", 1000, cat="bus.master")
+    track.end(3000)
+    start = tracer._wall_start
+    tracer.add_spans("kernel", ["tick", "decode"],
+                     [0, 1, 0], [1000, 1000, 2000],
+                     [start + 5000, start + 6000, start + 9000],
+                     [2e-6, 5e-7, 1e-6], cat="kernel.process")
+    return tracer
+
+
+class TestSpanBlocks:
+    def test_counted_as_two_events_each(self):
+        tracer = span_block_tracer()
+        assert len(tracer) == 2 + 6
+        assert len(tracer.events) == len(tracer)
+
+    def test_expansion(self):
+        events = [(event.tid, event.phase, event.ts_ps, event.wall_ns,
+                   event.cat, event.args)
+                  for event in span_block_tracer().events
+                  if event.pid == "kernel"]
+        assert events == [
+            ("tick", "B", 1000, 3000, "kernel.process", None),
+            ("tick", "E", 1000, 5000, "span", {"wall_us": 2.0}),
+            ("decode", "B", 1000, 5500, "kernel.process", None),
+            ("decode", "E", 1000, 6000, "span", {"wall_us": 0.5}),
+            ("tick", "B", 2000, 8000, "kernel.process", None),
+            ("tick", "E", 2000, 9000, "span", {"wall_us": 1.0}),
+        ]
+
+    def test_merged_with_emitted_events_by_sim_time(self):
+        names = [(event.name, event.phase)
+                 for event in span_block_tracer().events]
+        assert names == [
+            ("transfer", "B"), ("tick", "B"), ("tick", "E"),
+            ("decode", "B"), ("decode", "E"), ("tick", "B"),
+            ("tick", "E"), ("transfer", "E")]
+
+    def test_cap_drops_whole_spans(self, tmp_path):
+        tracer = span_block_tracer(max_events=5)
+        assert len(tracer) == 4
+        assert tracer.dropped == 4
+        assert [event.tid for event in tracer.events
+                if event.pid == "kernel"] == ["tick", "tick"]
+        for timebase in ("sim", "wall"):
+            path = tracer.write_chrome(
+                str(tmp_path / (timebase + ".json")), timebase=timebase)
+            assert validate_chrome_trace(path) == []
+
+    def test_exports(self, tmp_path):
+        tracer = span_block_tracer()
+        path = str(tmp_path / "trace.jsonl")
+        tracer.write_jsonl(path)
+        lines = [json.loads(line)
+                 for line in open(path).read().splitlines()]
+        assert len(lines) == len(tracer)
+        assert lines[1] == {"ts_ps": 1000, "wall_ns": 3000, "ph": "B",
+                            "pid": "kernel", "tid": "tick",
+                            "name": "tick", "cat": "kernel.process"}
+        records = [event for event in tracer.chrome_events("wall")
+                   if event["ph"] != "M"]
+        assert [event["ts"] for event in records] \
+            == sorted(event["ts"] for event in records)
 
 
 class TestChromeExport:
