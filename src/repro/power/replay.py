@@ -55,6 +55,7 @@ import math
 import numpy as np
 
 from ..amba.types import HRESP
+from ..kernel.recorder import compile_front_end
 from .activity import Activity
 from .hamming import hamming
 from .instructions import BusMode, classify_mode, instruction_name
@@ -233,35 +234,18 @@ class BusPowerModel:
 
     def _front_end(self, args, prelude, namespace):
         """Compile one front end: *prelude* binds ``_row`` and the three
-        checked codes; the shared tail diverts undecodable rows to the
-        scalar reference (after flushing, so state is current) and
-        buffers the rest, flushing at the cap.  A model whose
-        coefficients could make a cycle's energy negative diverts
-        every row, so the ledger's guard raises on that very cycle."""
-        namespace.update({
-            "_append": self._rows.append,
-            "_rows": self._rows,
-            "_cap": FLUSH_ROWS,
-            "_flush": self.flush,
-            "_scalar": self._replay_rows,
-            "_nm": len(self.master_energy),
-        })
-        check = ("True" if not self._signs_ok() else
-                 "(_vt > 3 or _vt < 0 or _vr > 3 or _vr < 0\n"
-                 "            or _vo >= _nm or _vo < -_nm)")
-        source = (
-            "def _push(%s):\n"
-            "%s"
-            "    if %s:\n"
-            "        _flush()\n"
-            "        _scalar((_row,))\n"
-            "        return\n"
-            "    _append(_row)\n"
-            "    if len(_rows) >= _cap:\n"
-            "        _flush()\n" % (args, prelude, check))
-        code = compile(source, "<repro.power.replay-front-end>", "exec")
-        exec(code, namespace)
-        return namespace["_push"]
+        checked codes; rows with undecodable codes are diverted to the
+        scalar reference.  A model whose coefficients could make a
+        cycle's energy negative diverts every row, so the ledger's
+        guard raises on that very cycle."""
+        namespace["_nm"] = len(self.master_energy)
+        divert = ("True" if not self._signs_ok() else
+                  "(_vt > 3 or _vt < 0 or _vr > 3 or _vr < 0\n"
+                  "            or _vo >= _nm or _vo < -_nm)")
+        return compile_front_end(
+            prelude, divert, self._rows, self.flush, self._replay_rows,
+            FLUSH_ROWS, namespace, args=args,
+            filename="<repro.power.replay-front-end>")
 
     def _signs_ok(self):
         """No cycle's energy can be negative (so the ledger's guard

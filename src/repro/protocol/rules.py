@@ -41,10 +41,23 @@ every cycle is legal but the unbounded repetition marks a sick system
 Rules are stateless where possible; stateful ones (burst tracking,
 streak counters) keep their state private and expose ``reset()``.
 Every rule's ``check(prev, view)`` receives the previous and current
-:class:`CycleView` and yields ``(rule_id, message)`` pairs.
+:class:`CycleView` and yields ``(rule_id, message)`` pairs: the scalar
+per-cycle reference.
+
+Every built-in rule also has a batched form, ``batch(block)``, over a
+:class:`RowBlock` of recorded cycles.  The stateless rules
+(:class:`StatelessRule`) compute a NumPy mask of candidate cycles and
+confirm each candidate with ``check``; the stateful ones replay the
+rows in an in-order loop that updates the same private state.  Both
+forms return the same violations with the same messages, and leave the
+same state.
 """
 
 from __future__ import annotations
+
+from itertools import chain
+
+import numpy as np
 
 from ..amba.types import (
     HBURST,
@@ -56,35 +69,55 @@ from ..amba.types import (
 )
 
 
+#: Scalar columns that open every recorded row; the HSEL vector
+#: (slaves, then the default slave), the HGRANT vector, the arbiter's
+#: split mask and the data-phase-active flag follow.
+ROW_FIELDS = ("time", "htrans", "haddr", "hwrite", "hsize", "hburst",
+              "hready", "hresp", "hmaster", "hmaster_d")
+
+(_TIME, _HTRANS, _HADDR, _HWRITE, _HSIZE, _HBURST, _HREADY, _HRESP,
+ _HMASTER, _HMASTER_D) = range(len(ROW_FIELDS))
+
+
+def row_signals(bus):
+    """The signals of one recorded row, in column order after the time:
+    the committed bus values every rule reads."""
+    return ([bus.htrans, bus.haddr, bus.hwrite, bus.hsize, bus.hburst,
+             bus.hready, bus.hresp, bus.hmaster, bus.hmaster_d]
+            + [port.hsel for port in bus.slave_ports]
+            + [bus.default_slave_port.hsel]
+            + [port.hgrant for port in bus.master_ports]
+            + [bus.arbiter.split_mask, bus.s2m_mux.dactive])
+
+
 class CycleView:
     """Committed values of the bus-visible signals at one rising edge.
 
     Includes the shared (multiplexed) signals plus the arbitration and
-    selection vectors the one-hot and liveness rules need.
+    selection vectors the one-hot and liveness rules need.  Built from
+    one recorded row (see :func:`row_signals`).
     """
 
     __slots__ = ("cycle", "time", "htrans", "haddr", "hwrite", "hsize",
                  "hburst", "hready", "hresp", "hmaster", "hmaster_d",
                  "hsels", "hgrants", "split_mask", "dactive")
 
-    def __init__(self, bus, cycle, time):
-        self.cycle = cycle
-        self.time = time
-        self.htrans = bus.htrans.value
-        self.haddr = bus.haddr.value
-        self.hwrite = bus.hwrite.value
-        self.hsize = bus.hsize.value
-        self.hburst = bus.hburst.value
-        self.hready = bus.hready.value
-        self.hresp = bus.hresp.value
-        self.hmaster = bus.hmaster.value
-        self.hmaster_d = bus.hmaster_d.value
-        self.hsels = tuple(port.hsel.value for port in bus.slave_ports) \
-            + (bus.default_slave_port.hsel.value,)
-        self.hgrants = tuple(port.hgrant.value
-                             for port in bus.master_ports)
-        self.split_mask = bus.arbiter.split_mask.value
-        self.dactive = bus.s2m_mux.dactive.value
+    @classmethod
+    def from_row(cls, row, cycle, n_sels):
+        """The view of recorded *row* (``time`` first, then the
+        :func:`row_signals` values); *n_sels* counts the HSEL columns,
+        default slave included."""
+        view = cls.__new__(cls)
+        view.cycle = cycle
+        fixed = len(ROW_FIELDS)
+        (view.time, view.htrans, view.haddr, view.hwrite, view.hsize,
+         view.hburst, view.hready, view.hresp, view.hmaster,
+         view.hmaster_d) = row[:fixed]
+        view.hsels = row[fixed:fixed + n_sels]
+        view.hgrants = row[fixed + n_sels:-2]
+        view.split_mask = row[-2]
+        view.dactive = row[-1]
+        return view
 
     def snapshot(self):
         """JSON-friendly dict of the signal values this cycle."""
@@ -123,6 +156,60 @@ class CycleView:
             if slot in ("hsels", "hgrants"):
                 value = tuple(value)
             setattr(view, slot, value)
+        return view
+
+
+class RowBlock:
+    """A block of consecutive recorded cycles, as int64 columns.
+
+    The batched rules read the current row's columns by field name
+    (``block.htrans`` …), the previous row's as ``block.p_<field>``,
+    and the HSEL / HGRANT vectors as 2-D ``hsels`` / ``hgrants``.
+    ``has_prev`` is false only for a first cycle with no predecessor;
+    ``p_ready`` marks cycles whose predecessor completed with
+    ``HREADY`` high (its address phase was accepted).  Messages and
+    snapshots come from :attr:`rows`, the recorded Python values.
+
+    Raises ``OverflowError`` when a value does not fit int64.
+    """
+
+    def __init__(self, rows, prev, first_cycle, n_sels):
+        self.rows = rows
+        self.first_cycle = first_cycle
+        self.n_sels = n_sels
+        self.count = count = len(rows)
+        width = len(rows[0])
+        arr = np.fromiter(chain.from_iterable(rows), dtype=np.int64,
+                          count=count * width).reshape(count, width)
+        cols = arr.T
+        head = arr[:, :len(ROW_FIELDS)]
+        prev_head = np.empty_like(head)
+        prev_head[1:] = head[:-1]
+        if prev is not None:
+            prev_head[0] = [getattr(prev, field) for field in ROW_FIELDS]
+        else:
+            prev_head[0] = 0
+        prev_cols = prev_head.T
+        for index, field in enumerate(ROW_FIELDS):
+            setattr(self, field, cols[index])
+            setattr(self, "p_" + field, prev_cols[index])
+        start = len(ROW_FIELDS)
+        self.hsels = arr[:, start:start + n_sels]
+        self.hgrants = arr[:, start + n_sels:-2]
+        self.split_mask = cols[-2]
+        self.dactive = cols[-1]
+        self.has_prev = np.ones(count, dtype=bool)
+        self.has_prev[0] = prev is not None
+        self.p_ready = self.has_prev & (self.p_hready != 0)
+        self._views = {-1: prev}
+
+    def view(self, index):
+        """The :class:`CycleView` of row *index* (``-1``: the cycle
+        before the block, or ``None``)."""
+        view = self._views.get(index)
+        if view is None and index >= 0:
+            view = self._views[index] = CycleView.from_row(
+                self.rows[index], self.first_cycle + index, self.n_sels)
         return view
 
 
@@ -218,8 +305,34 @@ class Rule:
         """
         raise NotImplementedError
 
+    def batch_ready(self):
+        """True when the private state lets the batched form continue
+        (a diverted cycle may leave values it cannot replay)."""
+        return True
 
-class SingleGrantRule(Rule):
+
+class StatelessRule(Rule):
+    """A rule whose verdict depends only on the current and previous
+    cycle.  Its batched form is :meth:`mask`, a NumPy superset of the
+    violating rows of a :class:`RowBlock`; :meth:`check` confirms each
+    candidate and supplies the messages."""
+
+    def mask(self, block):  # pragma: no cover - interface
+        """Boolean array: the rows :meth:`check` may flag."""
+        raise NotImplementedError
+
+    def batch(self, block):
+        """``(row, rule_id, message)`` for every violation in *block*,
+        in order."""
+        hits = []
+        for index in np.flatnonzero(self.mask(block)).tolist():
+            for rule_id, message in self.check(block.view(index - 1),
+                                               block.view(index)) or ():
+                hits.append((index, rule_id, message))
+        return hits
+
+
+class SingleGrantRule(StatelessRule):
     """HGRANT one-hot across masters (§3.11.3): the single-grant
     invariant — the bus has exactly one owner every cycle."""
 
@@ -230,8 +343,11 @@ class SingleGrantRule(Rule):
             yield ("hgrant-one-hot",
                    "HGRANT vector %r is not one-hot" % (view.hgrants,))
 
+    def mask(self, block):
+        return np.count_nonzero(block.hgrants, axis=1) != 1
 
-class SingleSelectRule(Rule):
+
+class SingleSelectRule(StatelessRule):
     """HSEL one-hot across slaves including the default slave (§3.10)."""
 
     emits = ("hsel-one-hot",)
@@ -241,8 +357,11 @@ class SingleSelectRule(Rule):
             yield ("hsel-one-hot",
                    "HSEL vector %r is not one-hot" % (view.hsels,))
 
+    def mask(self, block):
+        return np.count_nonzero(block.hsels, axis=1) != 1
 
-class AlignmentRule(Rule):
+
+class AlignmentRule(StatelessRule):
     """Active transfers carry size-aligned addresses (§3.4)."""
 
     emits = ("alignment",)
@@ -254,8 +373,14 @@ class AlignmentRule(Rule):
                    "address %#x unaligned for HSIZE=%d"
                    % (view.haddr, view.hsize))
 
+    def mask(self, block):
+        htrans = block.htrans
+        return (((htrans == int(HTRANS.NONSEQ))
+                 | (htrans == int(HTRANS.SEQ)))
+                & ((block.haddr & ((1 << block.hsize) - 1)) != 0))
 
-class TwoCycleResponseRule(Rule):
+
+class TwoCycleResponseRule(StatelessRule):
     """Non-OKAY responses follow the two-cycle protocol (§3.9.3): the
     final (``HREADY=1``) response cycle must be preceded by at least
     one ``HREADY=0`` cycle carrying the same response."""
@@ -270,8 +395,13 @@ class TwoCycleResponseRule(Rule):
                    "final %s cycle not preceded by a wait cycle with "
                    "the same response" % HRESP(view.hresp).name)
 
+    def mask(self, block):
+        return ((block.hresp != int(HRESP.OKAY)) & (block.hready != 0)
+                & (~block.has_prev | (block.p_hready != 0)
+                   | (block.p_hresp != block.hresp)))
 
-class StallStabilityRule(Rule):
+
+class StallStabilityRule(StatelessRule):
     """Address/control stable while the bus is stalled (§3.9.1), except
     for the spec-sanctioned cancel to IDLE during a non-OKAY response
     cycle (§3.9.3)."""
@@ -295,8 +425,19 @@ class StallStabilityRule(Rule):
                    "(HTRANS %d->%d, HADDR %#x->%#x)"
                    % (prev.htrans, view.htrans, prev.haddr, view.haddr))
 
+    def mask(self, block):
+        cancelled = ((block.htrans == int(HTRANS.IDLE))
+                     & (block.p_hresp != int(HRESP.OKAY)))
+        changed = ((block.htrans != block.p_htrans)
+                   | (block.haddr != block.p_haddr)
+                   | (block.hwrite != block.p_hwrite)
+                   | (block.hsize != block.p_hsize)
+                   | (block.hburst != block.p_hburst))
+        return (block.has_prev & (block.p_hready == 0) & ~cancelled
+                & changed)
 
-class IdleResponseRule(Rule):
+
+class IdleResponseRule(StatelessRule):
     """An accepted IDLE transfer must receive a zero-wait OKAY response
     in its data phase (§3.9.1)."""
 
@@ -313,8 +454,13 @@ class IdleResponseRule(Rule):
                    "zero-wait OKAY"
                    % (view.hready, HRESP(view.hresp).name))
 
+    def mask(self, block):
+        return (block.p_ready & (block.p_htrans == int(HTRANS.IDLE))
+                & ((block.hready == 0)
+                   | (block.hresp != int(HRESP.OKAY))))
 
-class GrantHandoverRule(Rule):
+
+class GrantHandoverRule(StatelessRule):
     """HTRANS legality per grant state (§3.11.1): the first address
     phase a master presents after taking bus ownership must be IDLE or
     NONSEQ — a burst never continues across an ownership change."""
@@ -331,6 +477,20 @@ class GrantHandoverRule(Rule):
                    "new owner M%d drove %s in its first address phase"
                    % (view.hmaster, HTRANS(view.htrans).name))
 
+    def mask(self, block):
+        htrans = block.htrans
+        return (block.p_ready & (block.hmaster != block.p_hmaster)
+                & ((htrans == int(HTRANS.SEQ))
+                   | (htrans == int(HTRANS.BUSY))))
+
+
+def _burst_address_message(haddr, expected):
+    return "SEQ address %#x, expected %#x" % (haddr, expected)
+
+
+def _burst_control_message(opened, ctrl):
+    return "control changed mid-burst: %r -> %r" % (opened, ctrl)
+
 
 class BurstSequenceRule(Rule):
     """Burst structure across accepted address phases (§3.5): NONSEQ
@@ -339,6 +499,9 @@ class BurstSequenceRule(Rule):
 
     emits = ("seq-without-nonseq", "burst-address", "burst-control",
              "busy-outside-burst")
+
+    _SEQ_MESSAGE = "SEQ transfer with no open burst"
+    _BUSY_MESSAGE = "BUSY transfer with no open burst"
 
     def __init__(self):
         self.reset()
@@ -359,8 +522,7 @@ class BurstSequenceRule(Rule):
                                 view.hmaster)
         elif htrans == HTRANS.SEQ:
             if not self._in_burst:
-                yield ("seq-without-nonseq",
-                       "SEQ transfer with no open burst")
+                yield ("seq-without-nonseq", self._SEQ_MESSAGE)
                 return
             expected = next_burst_address(
                 self._burst_addr, HBURST(self._burst_ctrl[2]),
@@ -368,20 +530,69 @@ class BurstSequenceRule(Rule):
             )
             if view.haddr != expected:
                 yield ("burst-address",
-                       "SEQ address %#x, expected %#x"
-                       % (view.haddr, expected))
+                       _burst_address_message(view.haddr, expected))
             ctrl = (view.hwrite, view.hsize, view.hburst, view.hmaster)
             if ctrl != self._burst_ctrl:
                 yield ("burst-control",
-                       "control changed mid-burst: %r -> %r"
-                       % (self._burst_ctrl, ctrl))
+                       _burst_control_message(self._burst_ctrl, ctrl))
             self._burst_addr = view.haddr
         elif htrans == HTRANS.BUSY:
             if not self._in_burst:
-                yield ("busy-outside-burst",
-                       "BUSY transfer with no open burst")
+                yield ("busy-outside-burst", self._BUSY_MESSAGE)
         else:  # IDLE
             self._in_burst = False
+
+    def batch(self, block):
+        """The accepted address phases of *block*, replayed in order."""
+        hits = []
+        rows = block.rows
+        in_burst = self._in_burst
+        addr = self._burst_addr
+        opened = self._burst_ctrl
+        for index in np.flatnonzero(block.p_ready).tolist():
+            row = rows[index]
+            htrans = row[_HTRANS]
+            if htrans == 2:                               # NONSEQ
+                in_burst = True
+                addr = row[_HADDR]
+                opened = (row[_HWRITE], row[_HSIZE], row[_HBURST],
+                          row[_HMASTER])
+            elif htrans == 3:                             # SEQ
+                if not in_burst:
+                    hits.append((index, "seq-without-nonseq",
+                                 self._SEQ_MESSAGE))
+                    continue
+                haddr = row[_HADDR]
+                expected = next_burst_address(addr, HBURST(opened[2]),
+                                              opened[1])
+                if haddr != expected:
+                    hits.append((index, "burst-address",
+                                 _burst_address_message(haddr,
+                                                        expected)))
+                ctrl = (row[_HWRITE], row[_HSIZE], row[_HBURST],
+                        row[_HMASTER])
+                if ctrl != opened:
+                    hits.append((index, "burst-control",
+                                 _burst_control_message(opened, ctrl)))
+                addr = haddr
+            elif htrans == 1:                             # BUSY
+                if not in_burst:
+                    hits.append((index, "busy-outside-burst",
+                                 self._BUSY_MESSAGE))
+            else:                                         # IDLE
+                in_burst = False
+        self._in_burst = in_burst
+        self._burst_addr = addr
+        self._burst_ctrl = opened
+        return hits
+
+    def batch_ready(self):
+        # An open burst's HSIZE/HBURST feed next_burst_address, which
+        # raises on codes outside the 3-bit range.
+        if not self._in_burst:
+            return True
+        _, hsize, hburst, _ = self._burst_ctrl
+        return 0 <= hsize <= 7 and 0 <= hburst <= 7
 
     def state_dict(self):
         return {
@@ -414,16 +625,37 @@ class WaitLimitRule(Rule):
     def reset(self):
         self._streak = 0
 
+    def _message(self, owner):
+        return ("HREADY low for more than %d consecutive cycles "
+                "(data-phase owner M%d)" % (self.limit, owner))
+
     def check(self, prev, view):
         if view.hready:
             self._streak = 0
             return
         self._streak += 1
         if self._streak == self.limit + 1:
-            yield ("wait-limit",
-                   "HREADY low for more than %d consecutive cycles "
-                   "(data-phase owner M%d)"
-                   % (self.limit, view.hmaster_d))
+            yield ("wait-limit", self._message(view.hmaster_d))
+
+    def batch(self, block):
+        """The stalled cycles of *block*, replayed in order."""
+        hits = []
+        rows = block.rows
+        streak = self._streak
+        flag_at = self.limit + 1
+        last = -1
+        for index in np.flatnonzero(block.hready == 0).tolist():
+            if index != last + 1:
+                streak = 0          # a ready cycle ended the episode
+            last = index
+            streak += 1
+            if streak == flag_at:
+                hits.append((index, "wait-limit",
+                             self._message(rows[index][_HMASTER_D])))
+        if last != block.count - 1:
+            streak = 0
+        self._streak = streak
+        return hits
 
     def state_dict(self):
         return {"streak": self._streak}
@@ -447,6 +679,10 @@ class RetryLivelockRule(Rule):
     def reset(self):
         self._counts = {}
 
+    def _message(self, owner):
+        return ("master M%d saw more than %d consecutive RETRY "
+                "completions" % (owner, self.limit))
+
     def check(self, prev, view):
         if not view.hready or not view.dactive:
             # No data phase completed this cycle; the streak holds.
@@ -456,11 +692,30 @@ class RetryLivelockRule(Rule):
             count = self._counts.get(owner, 0) + 1
             self._counts[owner] = count
             if count == self.limit + 1:
-                yield ("retry-livelock",
-                       "master M%d saw more than %d consecutive RETRY "
-                       "completions" % (owner, self.limit))
+                yield ("retry-livelock", self._message(owner))
         else:
             self._counts[owner] = 0
+
+    def batch(self, block):
+        """The completed data phases of *block*, replayed in order."""
+        hits = []
+        rows = block.rows
+        counts = self._counts
+        flag_at = self.limit + 1
+        retry = int(HRESP.RETRY)
+        done = (block.hready != 0) & (block.dactive != 0)
+        for index in np.flatnonzero(done).tolist():
+            row = rows[index]
+            owner = row[_HMASTER_D]
+            if row[_HRESP] == retry:
+                count = counts.get(owner, 0) + 1
+                counts[owner] = count
+                if count == flag_at:
+                    hits.append((index, "retry-livelock",
+                                 self._message(owner)))
+            else:
+                counts[owner] = 0
+        return hits
 
     def state_dict(self):
         return {"counts": {str(owner): count for owner, count
@@ -488,20 +743,39 @@ class SplitReleaseRule(Rule):
         self._ages = {}
 
     def check(self, prev, view):
-        mask = view.split_mask
-        for index in list(self._ages):
+        return self._step(view.split_mask)
+
+    def _step(self, mask):
+        ages = self._ages
+        for index in list(ages):
             if not (mask >> index) & 1:
-                del self._ages[index]
+                del ages[index]
         bit = 0
         while mask >> bit:
             if (mask >> bit) & 1:
-                age = self._ages.get(bit, 0) + 1
-                self._ages[bit] = age
+                age = ages.get(bit, 0) + 1
+                ages[bit] = age
                 if age == self.limit + 1:
                     yield ("split-release",
                            "master M%d split-masked for more than %d "
                            "cycles" % (bit, self.limit))
             bit += 1
+
+    def batch(self, block):
+        """The cycles of *block* with a non-empty split mask, replayed
+        in order (an empty mask releases every master)."""
+        hits = []
+        rows = block.rows
+        last = -1
+        for index in np.flatnonzero(block.split_mask != 0).tolist():
+            if index != last + 1:
+                self._ages.clear()
+            last = index
+            for rule_id, message in self._step(rows[index][-2]):
+                hits.append((index, rule_id, message))
+        if last != block.count - 1:
+            self._ages.clear()
+        return hits
 
     def state_dict(self):
         return {"ages": {str(bit): age for bit, age
@@ -510,6 +784,17 @@ class SplitReleaseRule(Rule):
     def load_state_dict(self, state):
         self._ages = {int(bit): age for bit, age
                       in state["ages"].items()}
+
+
+#: Rule classes whose ``batch`` form the compliance engine may use
+#: instead of calling ``check`` every cycle.  A subclass is not listed:
+#: it may override ``check``.
+BATCHED_RULES = (
+    SingleGrantRule, SingleSelectRule, AlignmentRule,
+    TwoCycleResponseRule, StallStabilityRule, IdleResponseRule,
+    GrantHandoverRule, BurstSequenceRule, WaitLimitRule,
+    RetryLivelockRule, SplitReleaseRule,
+)
 
 
 def mandatory_rules():

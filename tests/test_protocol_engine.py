@@ -26,12 +26,13 @@ from repro.protocol import (
     CATALOGUE,
     ComplianceEngine,
     ProtocolComplianceError,
+    Rule,
     advisory_rules,
     is_mandatory,
     mandatory_rules,
     rule_info,
 )
-from repro.replay import campaign_spec, execute
+from repro.replay import FaultEntry, campaign_spec, execute
 from repro.workloads import SCENARIOS, build_scenario
 
 
@@ -269,3 +270,210 @@ class TestLegacyFacade:
         assert checker.severity == "record"
         checker.strict = True
         assert checker.severity == "raise"
+
+
+class _PendingProbe:
+    """Samples an engine's ``(pending rows, violations)`` at every
+    falling clock edge, i.e. in the middle of a run."""
+
+    def __init__(self, sys, engine):
+        self.engine = engine
+        self.samples = []
+        sys.sim.add_method(self._sample, [sys.clk.negedge],
+                           name="probe", initialize=False)
+
+    def _sample(self):
+        self.samples.append((self.engine.pending,
+                             len(self.engine.violations)))
+
+
+def _records(engine):
+    return [violation.to_dict() for violation in engine.violations]
+
+
+class TestBatchedEvaluation:
+    """Rows are evaluated when ``run`` returns, except where a cycle
+    must go straight to the scalar reference."""
+
+    def test_violations_visible_when_run_returns(self):
+        sys = EngineSystem()
+        probe = _PendingProbe(sys, sys.engine)
+        sys.glitch_htrans_seq()
+        sys.run_us(2)
+        assert max(pending for pending, _ in probe.samples) > 0
+        assert all(count == 0 for _, count in probe.samples)
+        assert sys.engine.pending == 0
+        assert sys.engine.violations
+        assert sys.engine.cycles_checked == len(probe.samples)
+
+    def test_strict_toggled_between_runs_acts_on_the_next_cycle(self):
+        sys = EngineSystem()
+        checker = AhbProtocolChecker(sys.sim, "chk", sys.bus)
+        injector = FaultInjector(sys.sim, sys.clk, seed=3)
+        for at_ns in (500, 1500):
+            injector.glitch(sys.bus.htrans, value=3, cycles=1,
+                            start=ns(at_ns))
+        sys.run_us(1)
+        recorded = len(checker.violations)
+        assert recorded >= 1                 # record: the run goes on
+        checker.strict = True
+        with pytest.raises(ProcessError) as exc_info:
+            sys.run_us(1)
+        violation = exc_info.value.original.violation
+        assert violation is checker.violations[-1]
+        assert len(checker.violations) == recorded + 1
+        assert violation.time == sys.sim.now >= ns(1500)
+        # the record-severity engine on the same bus saw the same cycle
+        assert violation.to_dict() in _records(sys.engine)
+
+        sys = EngineSystem()
+        checker = AhbProtocolChecker(sys.sim, "chk", sys.bus, strict=True)
+        checker.strict = False
+        sys.glitch_htrans_seq()
+        sys.run_us(2)
+        assert _records(checker) == [
+            record for record in _records(sys.engine)
+            if record["mandatory"]]
+
+    def test_warn_prints_once_per_rule_when_run_returns(self, capsys):
+        sys = EngineSystem(severity="warn", wait_states=(6, 0),
+                           wait_limit=3)
+        for index in range(4):
+            sys.m0.enqueue(AhbTransaction.write_single(4 * index, index))
+        injector = FaultInjector(sys.sim, sys.clk, seed=3)
+        injector.glitch(sys.bus.htrans, value=3, cycles=1,
+                        probability=0.05)
+        probe = _PendingProbe(sys, sys.engine)
+        printed = []
+        sys.sim.add_method(
+            lambda: printed.append(capsys.readouterr().err),
+            [sys.clk.negedge], name="stderr", initialize=False)
+        sys.run_us(2)
+        assert "".join(printed) == ""        # nothing printed mid-run
+        assert max(pending for pending, _ in probe.samples) > 0
+        err = capsys.readouterr().err
+        engine = sys.engine
+        assert len(engine.rules_tripped()) >= 2
+        firsts = [next(v for v in engine.violations if v.rule == rule)
+                  for rule in engine.rules_tripped()]
+        assert err.splitlines() == ["[engine] %r" % (v,) for v in firsts]
+        sys.run_us(1)
+        assert capsys.readouterr().err == ""  # each rule warns once
+
+    def test_undecodable_code_raises_in_its_cycle(self):
+        sys = EngineSystem()
+        sys.run_us(1)
+        before = sys.engine.state_dict()
+        sys.bus.htrans.force(6)
+        process, = [process for process in sys.sim.processes
+                    if process.name == "engine.check"]
+        with pytest.raises(ValueError, match="HTRANS"):
+            process.fn()
+        # the per-cycle torn state: the cycle counted, no rule after
+        # the raising one evaluated, the previous view kept
+        assert sys.engine.cycles_checked == before["cycles_checked"] + 1
+        assert sys.engine.state_dict()["prev"] == before["prev"]
+        assert sys.engine.pending == 0
+
+    def test_custom_rule_sees_every_cycle_in_order(self):
+        class CycleLog(Rule):
+            emits = ("cycle-log",)
+
+            def __init__(self, sim):
+                self.sim = sim
+                self.seen = []
+
+            def check(self, prev, view):
+                self.seen.append((None if prev is None else prev.cycle,
+                                  view.cycle, view.time, self.sim.now))
+                return ()
+
+        sys = EngineSystem()
+        log = CycleLog(sys.sim)
+        custom = ComplianceEngine(sys.sim, "custom", sys.bus,
+                                  rules=mandatory_rules() + [log])
+        probe = _PendingProbe(sys, custom)
+        sys.glitch_htrans_seq()
+        sys.run_us(1)
+        sys.run_us(1)
+        assert [seen[1] for seen in log.seen] == \
+            list(range(custom.cycles_checked))
+        assert [seen[0] for seen in log.seen] == \
+            [None] + list(range(custom.cycles_checked - 1))
+        # evaluated in each cycle's own process, never buffered
+        assert all(time == now for _, _, time, now in log.seen)
+        assert all(pending == 0 for pending, _ in probe.samples)
+        assert _records(custom) == [
+            record for record in _records(sys.engine)
+            if record["mandatory"]]
+
+    def test_disabled_rules_drop_out_of_the_batched_path(self):
+        sys = EngineSystem(wait_states=(6, 0), wait_limit=3)
+        no_wait = ComplianceEngine(sys.sim, "no_wait", sys.bus,
+                                   wait_limit=None)
+        no_advisory = ComplianceEngine(sys.sim, "no_advisory", sys.bus,
+                                       advisory=False)
+        probes = [_PendingProbe(sys, engine)
+                  for engine in (no_wait, no_advisory)]
+        sys.m0.enqueue(AhbTransaction.write_single(0x10, 1))
+        sys.m0.enqueue(AhbTransaction.write_single(0x14, 2))
+        sys.glitch_htrans_seq()
+        sys.run_us(2)
+        full = _records(sys.engine)
+        assert {"wait-limit", "retry-livelock", "split-release"} \
+            >= {record["rule"] for record in full
+                if not record["mandatory"]} == {"wait-limit"}
+        assert _records(no_wait) == [
+            record for record in full if record["rule"] != "wait-limit"]
+        assert _records(no_advisory) == [
+            record for record in full if record["mandatory"]]
+        assert "WaitLimitRule" not in {
+            type(rule).__name__ for rule in no_wait.rules}
+        for probe in probes:                 # both stayed batched
+            assert max(pending for pending, _ in probe.samples) > 0
+
+
+#: Net faults added to the behavioural ones: stalls with moving
+#: addresses, and an HSIZE code no transfer size has (those cycles, and
+#: the bursts they open, go to the scalar reference).
+NET_FAULTS = {
+    "stall-haddr": [
+        FaultEntry.signal_fault("glitch", "hready", value=0, cycles=2,
+                                probability=0.03),
+        FaultEntry.signal_fault("bit-flip", "haddr", bit=3,
+                                probability=0.05)],
+    "bad-hsize": [
+        FaultEntry.signal_fault("glitch", "hsize", value=12, cycles=2,
+                                probability=0.03)],
+}
+
+
+@pytest.mark.parametrize("net", sorted(NET_FAULTS))
+@pytest.mark.parametrize("fault", [
+    "always-retry", "hung-slave", "unreleased-split"])
+@pytest.mark.parametrize("cap", [1, 7, 4096])
+def test_batched_evaluation_equals_scalar_reference(fault, net, cap,
+                                                    monkeypatch):
+    """Whatever the flush cap, the batched evaluation reproduces the
+    per-cycle scalar reference on faulted campaign runs."""
+    from repro.protocol import engine as engine_module
+    spec = campaign_spec("wireless-modem", fault=fault, duration_us=4.0)
+    spec.faults.extend(NET_FAULTS[net])
+
+    def run():
+        system, outcome = execute(spec)
+        return outcome.outcome, _records(system.checker), \
+            system.checker.state_dict()
+
+    monkeypatch.setattr(engine_module, "FLUSH_ROWS", cap)
+    batched = run()
+    refresh = ComplianceEngine._refresh_divert
+
+    def always_scalar(engine):
+        refresh(engine)
+        engine._always_divert = engine._divert = True
+
+    monkeypatch.setattr(ComplianceEngine, "_refresh_divert",
+                        always_scalar)
+    assert batched == run()
+    assert batched[1]

@@ -18,9 +18,20 @@ Within one track the order is pinned.
 
 The capped run checks the ``max_events`` accounting: every event is
 either stored or counted in ``dropped`` (their sum is the uncapped
-event count recorded live), and the capped trace stays structurally
-valid.  The live recording broke that: a span whose ``B`` fitted
-under the cap lost its ``E`` and vice versa.
+event count), the capped trace stays structurally valid, and every
+process group keeps its earliest events — kernel spans too, although
+they reach the tracer only at a fold.  The live recording broke the
+structure: a span whose ``B`` fitted under the cap lost its ``E`` and
+vice versa.
+
+The protocol checker evaluates its recorded cycles when each ``run``
+call ends, as one more activation of its clock process
+(``checker.check``), exactly as the power monitor does
+(``power_monitor.monitor``): each has 2 × 2000 cycle events plus one
+``B``/``E`` pair per ``run`` call.  Those two flush spans and the two
+activations they count are the only difference from the values
+recorded from the per-activation observer, which predates the
+checker's flush.
 
 Run this file as a script to print the current values.
 """
@@ -35,7 +46,7 @@ from repro.workloads import build_paper_testbench
 
 #: Digest of every kernel track's ``(ts_ps, phase, name, cat)`` list.
 KERNEL_TRACKS = (
-    "0a9aa1ae653382276278973b18b6537ff41403773dcaee4346f0203745953f87")
+    "05a244e76f51fb39f473d37839204671f8510ca888b4bd7102a299173d4697e3")
 #: Events per kernel track (readable companion of the digest).
 KERNEL_TRACK_EVENTS = {
     "clk.driver": 8002,
@@ -54,24 +65,24 @@ KERNEL_TRACK_EVENTS = {
     "slave0.fsm": 4000,
     "slave1.fsm": 4000,
     "slave2.fsm": 4000,
-    "checker.check": 4000,
+    "checker.check": 4004,
     "power_monitor.monitor": 4004,
     "bus_telemetry.monitor": 4000,
 }
 #: Digest of every kernel counter and histogram series except
 #: ``sim_process_seconds_total``.
 KERNEL_METRICS = (
-    "d59463b6d76cdf0c7a1703f5bfbf98c219dac760b4deaee4497b765311664be5")
+    "abf382046de900f067288274cf86827daaa2f08eaedfed454ef608dda6ad9bf4")
 KERNEL_STEPS = 4001
 KERNEL_DELTAS = 8858
 #: Every event of the uncapped run: stored + dropped under any cap.
-TOTAL_EVENTS = 81815
+TOTAL_EVENTS = 81819
 
 CAP = 5000
-#: The capped run under the columnar record.  Not from the live
-#: recording, whose capped trace failed validation.
-CAPPED_LEN = 5003
-CAPPED_DROPPED = 76812
+#: The capped run, the cap shared by the kernel, bus and power groups.
+#: Not from the live recording, whose capped trace failed validation.
+CAPPED_LEN = 5001
+CAPPED_DROPPED = 76818
 
 
 def _digest(obj):
@@ -160,6 +171,10 @@ class TestKernelTelemetryGolden:
         assert tracer.dropped == CAPPED_DROPPED
         assert len(tracer) + tracer.dropped == TOTAL_EVENTS
         assert len(tracer.events) == len(tracer)
+        cats = {event.cat for event in tracer.events}
+        assert "kernel.process" in cats
+        assert {event.pid for event in tracer.events} \
+            == {"kernel", "bus", "power"}
         for timebase in ("sim", "wall"):
             path = tracer.write_chrome(
                 str(tmp_path / ("%s.json" % timebase)),

@@ -141,6 +141,21 @@ class TestSpanBlocks:
                 str(tmp_path / (timebase + ".json")), timebase=timebase)
             assert validate_chrome_trace(path) == []
 
+    def test_cap_is_shared_by_process_groups(self):
+        tracer = Tracer(max_events=8)
+        tracer.track("kernel", "scheduler")
+        bus = tracer.track("bus", "master0")
+        for index in range(10):
+            bus.instant("i%d" % index, index)
+        start = tracer._wall_start
+        # folded late, the kernel spans still get the kernel's share
+        tracer.add_spans("kernel", ["tick"], [0, 0, 0], [0, 1, 2],
+                         [start] * 3, [0.0] * 3, cat="kernel.process")
+        pids = [event.pid for event in tracer.events]
+        assert pids.count("bus") == 4
+        assert pids.count("kernel") == 4
+        assert tracer.dropped == 6 + 2
+
     def test_exports(self, tmp_path):
         tracer = span_block_tracer()
         path = str(tmp_path / "trace.jsonl")
