@@ -69,7 +69,10 @@ class KernelTelemetry:
     (:meth:`on_run_end`), and after any time step that leaves
     :data:`FOLD_ROWS` rows recorded, the rows are folded into the
     per-process counters and handed to the tracer as one span block,
-    so the registry is current whenever ``run`` returns.
+    so the registry is current whenever ``run`` returns.  Near the
+    tracer's cap it folds as soon as the rows would fill half of the
+    tracer's :attr:`~repro.telemetry.tracing.Tracer.room`, so a capped
+    trace keeps kernel spans alongside the bus and power events.
     """
 
     def __init__(self, tracer, registry, storm_threshold=STORM_THRESHOLD):
@@ -165,7 +168,11 @@ class KernelTelemetry:
             self._scheduler.instant("delta-storm", now,
                                     cat="kernel.storm",
                                     args={"deltas": deltas})
-        if len(self._rows_process) >= FOLD_ROWS:
+        rows = len(self._rows_process)
+        # Fold early once the recorded spans would fill half of the
+        # tracer's room, so bus and power events recorded meanwhile
+        # cannot use it up; with under two events of room no span fits.
+        if rows >= FOLD_ROWS or 4 * rows >= self.tracer.room >= 2:
             self._fold()
 
     # -- optional signal-commit hooks -----------------------------------

@@ -59,13 +59,12 @@ class TraceEvent:
 class Track:
     """One (process, thread) lane of a tracer."""
 
-    __slots__ = ("tracer", "pid", "tid", "_open", "_kept", "_group")
+    __slots__ = ("tracer", "pid", "tid", "_open", "_kept")
 
     def __init__(self, tracer, pid, tid):
         self.tracer = tracer
         self.pid = pid
         self.tid = tid
-        self._group = tracer._group(pid)
         self._open = []  # names of open spans (for finish/validation)
         # The bottom ``_kept`` open spans had their B stored; spans
         # opened once the tracer was full (it never frees room) lost
@@ -138,18 +137,16 @@ class Tracer:
     Parameters
     ----------
     max_events:
-        Cap on stored events, shared evenly by the process groups
-        (``pid`` values) the tracer has tracks or span blocks for; an
-        event beyond the cap or its group's share is counted in
-        :attr:`dropped` instead of stored.  Events that arrive late —
-        kernel spans at a fold, batched power events at a flush — thus
-        still find room, and a capped trace keeps the earliest events
-        of every group.  The trace stays
+        Cap on stored events; once reached, further events are counted
+        in :attr:`dropped` instead of stored.  The trace stays
         structurally valid: a span whose ``B`` was stored keeps its
         ``E`` past the cap (so :func:`len` can exceed the cap by the
         spans open at that point), a span whose ``B`` was dropped
         drops its ``E`` too, and span blocks are taken whole spans at
-        a time.  A pending span counts as two events.
+        a time.  A pending span counts as two events.  A producer that
+        hands over span blocks late (the kernel observer at a fold)
+        watches :attr:`room` and hands them over before the other
+        tracks' events use it up.
     """
 
     enabled = True
@@ -162,9 +159,6 @@ class Tracer:
         self._stored = 0
         self.max_events = max_events
         self.dropped = 0
-        #: pid -> one-element list: events held by that group
-        self._groups = {}
-        self._share = max_events
         self._tracks = {}
         self._wall_start = _time.perf_counter_ns()
 
@@ -180,19 +174,9 @@ class Tracer:
             track = self._tracks[key] = Track(self, pid, tid)
         return track
 
-    def _group(self, pid):
-        """The event count of group *pid* (registered on first use)."""
-        group = self._groups.get(pid)
-        if group is None:
-            group = self._groups[pid] = [0]
-            self._share = self.max_events // len(self._groups)
-        return group
-
     def _emit(self, phase, track, name, ts_ps, cat, args):
-        """Store one event unless the cap or the group's share is
-        reached; True if stored."""
-        if self._stored >= self.max_events \
-                or track._group[0] >= self._share:
+        """Store one event unless the cap is reached; True if stored."""
+        if self._stored >= self.max_events:
             self.dropped += 1
             return False
         self._append(phase, track, name, ts_ps, cat, args)
@@ -200,7 +184,6 @@ class Tracer:
 
     def _append(self, phase, track, name, ts_ps, cat, args):
         self._stored += 1
-        track._group[0] += 1
         self._events.append(TraceEvent(
             int(ts_ps), self.wall_now_ns(), phase, track.pid,
             track.tid, name, cat, args))
@@ -216,13 +199,10 @@ class Tracer:
         columns are kept as they are (sequences of plain numbers; the
         caller must not change them afterwards) and expanded into
         ``B``/``E`` events only when the trace is read or exported.
-        Spans beyond the cap or the group's share are dropped whole,
-        the latest first.
+        Spans beyond the cap are dropped whole, the latest first.
         """
-        group = self._group(pid)
         count = len(index)
-        room = max(0, min(self.max_events - self._stored,
-                          self._share - group[0]) // 2)
+        room = max(0, (self.max_events - self._stored) // 2)
         if count > room:
             self.dropped += 2 * (count - room)
             count = room
@@ -232,7 +212,6 @@ class Tracer:
             self._spans.append((pid, tuple(names), index, ts_ps,
                                 wall_end_ns, seconds, cat))
             self._stored += 2 * count
-            group[0] += 2 * count
 
     def _span_events(self):
         """Expand the pending span blocks, in recording order."""
@@ -272,6 +251,11 @@ class Tracer:
 
     def __len__(self):
         return self._stored
+
+    @property
+    def room(self):
+        """Events the tracer can still store before the cap."""
+        return self.max_events - self._stored
 
     # -- export ---------------------------------------------------------
 
@@ -366,6 +350,7 @@ class NullTracer:
     enabled = False
     events = ()
     dropped = 0
+    room = 0
 
     def track(self, pid, tid):
         return NULL_TRACK

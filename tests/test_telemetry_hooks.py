@@ -215,6 +215,43 @@ class TestSystemInstrumentation:
         assert commits.get("signal=ahb.HTRANS", 0) > 0
 
 
+class _Process:
+    name = "tick"
+
+
+def fold_run(max_events, steps=40):
+    """One kernel activation and two bus events per time step."""
+    tracer = Tracer(max_events=max_events)
+    kernel = KernelTelemetry(tracer, MetricsRegistry())
+    bus = tracer.track("bus", "master0")
+    process = _Process()
+    for now in range(steps):
+        kernel.on_process(process, now, 1e-6)
+        bus.instant("request", now)
+        bus.instant("grant", now)
+        kernel.on_settle(now, 1)
+    kernel.on_run_end()
+    return tracer
+
+
+class TestFoldNearTheCap:
+    def test_kernel_spans_fold_before_the_room_is_used_up(self):
+        tracer = fold_run(max_events=40)
+        assert len(tracer) + tracer.dropped == 40 * 4
+        spans = [event.ts_ps for event in tracer.events
+                 if event.pid == "kernel" and event.phase == "B"]
+        # the earliest activations, although bus events alone would
+        # fill the cap by step 20
+        assert spans == list(range(len(spans)))
+        assert len(spans) >= 5
+        assert len(tracer._spans) > 1
+
+    def test_no_early_fold_far_from_the_cap(self):
+        tracer = fold_run(max_events=1000)
+        assert tracer.dropped == 0
+        assert len(tracer._spans) == 1
+
+
 class TestOverheadGuard:
     def test_disabled_telemetry_installs_nothing(self):
         """``Telemetry.disabled()`` must leave the system exactly as
